@@ -5,7 +5,9 @@ grouped under node switches (NVLink domains), which hang off a single
 cluster fabric (InfiniBand).  A :class:`Topology` wraps a
 :class:`~repro.config.ClusterConfig` with:
 
-* a :mod:`networkx` graph (useful for visualisation and path queries),
+* a :mod:`networkx` graph (useful for visualisation and path queries;
+  networkx is imported only when :attr:`Topology.graph` or
+  :meth:`Topology.hop_path` is used, so simulations never load it),
 * vectorised tier / distance matrices used on hot paths, and
 * helpers mapping GPU ranks to nodes and link tiers.
 
@@ -18,11 +20,14 @@ from __future__ import annotations
 
 from enum import IntEnum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.config import ClusterConfig, LinkSpec
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Tier", "Topology"]
 
@@ -168,6 +173,8 @@ class Topology:
         :class:`~repro.config.LinkSpec`.  Used for topology-aware debugging
         and the examples, never on the simulation hot path.
         """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_node("fabric", kind="switch")
         for node in range(self.num_nodes):
@@ -182,4 +189,6 @@ class Topology:
 
     def hop_path(self, gpu_a: int, gpu_b: int) -> list[str]:
         """Graph path between two GPU leaves (for inspection)."""
+        import networkx as nx
+
         return nx.shortest_path(self.graph, f"gpu{gpu_a}", f"gpu{gpu_b}")

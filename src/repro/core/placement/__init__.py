@@ -8,8 +8,9 @@ experts per layer.  Strategies:
   baseline in every figure).
 * :func:`greedy_placement` — chained per-layer greedy grouping.
 * :func:`ilp_placement` — per-layer-pair optimal assignment via integer
-  programming / Hungarian expansion (the paper's formulas 8-12), chained
-  across layers; plus an exact joint formulation for small instances.
+  programming / slot-expanded linear-sum assignment (the paper's formulas
+  8-12), chained across layers; plus an exact joint formulation for small
+  instances.
 * :func:`staged_placement` — the paper's two-stage topology-aware variant:
   stage 1 minimises inter-node crossings, stage 2 minimises intra-node
   crossings given stage 1 (Section IV-C/D).

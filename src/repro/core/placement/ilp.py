@@ -11,21 +11,29 @@ expert-level quadratic assignment, which we solve two ways:
   ``scipy.optimize.milp`` (HiGHS) with the standard linearisation of the
   same-GPU product terms.  Exact, but the variable count grows as
   ``L * E^2 * G`` — intended for small instances and for validating the
-  scalable solver below.
+  scalable solver below.  It is the only code here that needs scipy, and
+  imports it on call.
 * :func:`ilp_placement` — layer-chained exact assignments: given layer
   ``j``'s placement, the optimal layer ``j+1`` assignment under capacity
   constraints is a transportation problem, solved *exactly* by expanding
-  each GPU into ``C`` slots and running the Hungarian algorithm
-  (``scipy.optimize.linear_sum_assignment``).  Coordinate-descent sweeps
-  (re-solving each layer against both fixed neighbours) then recover most
-  of the gap to the joint optimum; the ablation bench quantifies it.
+  each GPU into ``C`` slots and running a linear-sum assignment.
+  Coordinate-descent sweeps (re-solving each layer against both fixed
+  neighbours) then recover most of the gap to the joint optimum; the
+  ablation bench quantifies it.
+
+The assignments use :func:`_max_assignment`, an in-repo port of the
+shortest-augmenting-path algorithm behind
+``scipy.optimize.linear_sum_assignment``.  It keeps scipy's tie-breaking,
+so it returns the same assignment (benefits here are integer counts, so
+ties are common) without importing ``scipy.optimize``, which would
+otherwise dominate every process's start-up time and memory.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import LinearConstraint, linear_sum_assignment, milp
-from scipy.optimize import Bounds
 
 from repro.core.placement.base import Placement
 from repro.trace.events import RoutingTrace
@@ -38,8 +46,8 @@ def assignment_solve(benefit: np.ndarray, num_groups: int) -> np.ndarray:
 
     ``benefit[i, p]`` is the affinity mass gained by putting expert ``i``
     on group (GPU or node) ``p``; every group must take exactly
-    ``E / num_groups`` experts.  Solved exactly by slot expansion + the
-    Hungarian algorithm.  Returns (E,) group index per expert.
+    ``E / num_groups`` experts.  Solved exactly by slot expansion + a
+    linear-sum assignment.  Returns (E,) group index per expert.
     """
     benefit = np.asarray(benefit, dtype=np.float64)
     e, p = benefit.shape
@@ -50,11 +58,79 @@ def assignment_solve(benefit: np.ndarray, num_groups: int) -> np.ndarray:
     cap = e // num_groups
     # expand each group into `cap` identical slots -> square assignment
     expanded = np.repeat(benefit, cap, axis=1)  # (E, E)
-    rows, cols = linear_sum_assignment(expanded, maximize=True)
-    groups = cols // cap
-    out = np.empty(e, dtype=np.int64)
-    out[rows] = groups
-    return out
+    cols = np.asarray(_max_assignment(expanded), dtype=np.int64)
+    return cols // cap
+
+
+def _max_assignment(benefit: np.ndarray) -> list[int]:
+    """Column per row of a maximum-benefit assignment on a square matrix.
+
+    Crouse's (2016) shortest augmenting path algorithm, ported from scipy's
+    ``rectangular_lsap.cpp`` with the same operation order and tie-breaking,
+    so the result equals ``linear_sum_assignment(benefit, maximize=True)[1]``
+    exactly.  Raises ``ValueError`` for NaN or +inf entries and when no
+    assignment avoids the -inf entries.
+    """
+    n = benefit.shape[0]
+    if np.isnan(benefit).any() or np.isposinf(benefit).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    cost: list[list[float]] = (-benefit).tolist()
+    inf = math.inf
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur in range(n):
+        # shortest augmenting path from row `cur` to a free column
+        spc = [inf] * n
+        remaining = list(range(n - 1, -1, -1))  # scipy's scan order: ties depend on it
+        seen_rows: list[int] = []
+        seen_cols: list[int] = []
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            seen_rows.append(i)
+            index = -1
+            lowest = inf
+            ci, ui = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                # on a tie prefer a free column: it ends the path
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then flip the path
+        u[cur] += min_val
+        for i in seen_rows:
+            if i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def chain_objective(gpu_of: np.ndarray, weights: list[np.ndarray]) -> float:
@@ -201,6 +277,9 @@ def joint_ilp_placement(
     Raises ``RuntimeError`` if HiGHS fails to produce a feasible solution
     within the time limit.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
     e, L, g = trace.num_experts, trace.num_layers, num_gpus
     if e % g != 0:
         raise ValueError(f"{e} experts not divisible across {g} GPUs")
@@ -269,8 +348,6 @@ def joint_ilp_placement(
         lb.append(-np.inf)
         ub.append(0.0)
         row += 1
-
-    from scipy.sparse import csr_matrix
 
     a = csr_matrix((vals_a, (rows_a, cols_a)), shape=(row, n_vars))
     constraint = LinearConstraint(a, np.asarray(lb), np.asarray(ub))

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
 from repro.core.placement.base import placement_locality
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.ilp import (
+    _max_assignment,
     assignment_solve,
     chain_objective,
     ilp_placement,
@@ -74,6 +77,58 @@ class TestAssignmentSolve:
             assignment_solve(np.zeros((4, 3)), 2)
         with pytest.raises(ValueError):
             assignment_solve(np.zeros((5, 2)), 2)
+
+    # The in-repo solver must pick exactly scipy's column per row, ties
+    # included: placements, and every number downstream, depend on it.
+    # Small integer ranges make ties the common case.
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.sampled_from([0, 1, 2, 10]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_square_matches_scipy(self, n, high, seed):
+        from scipy.optimize import linear_sum_assignment
+
+        m = np.random.default_rng(seed).integers(0, high + 1, (n, n)).astype(float)
+        want = linear_sum_assignment(m, maximize=True)[1].tolist()
+        assert _max_assignment(m) == want
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([0, 1, 2, 10]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slot_expanded_matches_scipy(self, g, cap, high, seed):
+        """The (E, E) shape ``assignment_solve`` builds: each group's column
+        repeated ``cap`` times, so whole column blocks tie."""
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(seed)
+        benefit = rng.integers(0, high + 1, (g * cap, g)).astype(float)
+        m = np.repeat(benefit, cap, axis=1)
+        want = linear_sum_assignment(m, maximize=True)[1]
+        assert _max_assignment(m) == want.tolist()
+        assert assignment_solve(benefit, g).tolist() == (want // cap).tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nan_and_posinf(self, bad):
+        benefit = np.ones((4, 2))
+        benefit[1, 0] = bad
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            assignment_solve(benefit, 2)
+
+    def test_rejects_infeasible(self):
+        benefit = np.ones((4, 2))
+        benefit[:, 1] = -np.inf  # nobody can take group 1's slots
+        with pytest.raises(ValueError, match="infeasible"):
+            assignment_solve(benefit, 2)
+
+    def test_neginf_avoided_when_feasible(self):
+        benefit = np.array([[-np.inf, 1.0], [0.0, -np.inf]])
+        assert assignment_solve(benefit, 2).tolist() == [1, 0]
 
 
 class TestChainObjective:

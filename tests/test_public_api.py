@@ -8,6 +8,9 @@ solver registry entries without implementations.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,28 @@ class TestAllExports:
             "make_decode_workload",
         ):
             assert hasattr(repro, name)
+
+
+class TestImportWeight:
+    def test_preset_run_loads_neither_scipy_nor_networkx(self):
+        """A staged-placement preset runs on numpy alone: scipy is only for
+        ``ilp-joint`` and networkx only for ``Topology.graph``/``hop_path``,
+        both imported on use.  A fresh interpreter, so that no other test's
+        imports leak into ``sys.modules``."""
+        code = (
+            "import sys, repro\n"
+            "repro.run('fleet-steady-day-smoke')\n"
+            "heavy = sorted(m for m in sys.modules\n"
+            "               if m.split('.')[0] in ('scipy', 'networkx'))\n"
+            "print(heavy)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestSolverRegistry:
