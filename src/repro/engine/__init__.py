@@ -20,8 +20,9 @@ Two executors share one contract: the vectorized batched engine in
 :mod:`repro.engine.executor` (the fast default) and the step-by-step loop
 oracle in :mod:`repro.engine.reference` (kept for equivalence testing).
 On top of the batch engine, :mod:`repro.engine.serving` adds request-level
-serving: Poisson/bursty arrivals, continuous batching and tail-latency
-metrics.
+serving: Poisson/bursty arrivals, one continuous-batching loop with
+pluggable step pricers (a calibrated curve, or per-step placement-aware
+pricing under routing drift) and tail-latency metrics.
 """
 
 from repro.engine.costs import CostModel
@@ -47,14 +48,14 @@ from repro.engine.serving import (
     make_arrivals,
     poisson_arrivals,
     bursty_arrivals,
-    simulate_serving,
+    StepPricer,
+    continuous_batching,
     engine_step_time,
-    simulate_cluster_serving,
+    CurvePricer,
     PlacementStepTimer,
     KeptSample,
     OnlineServingResult,
-    simulate_online_serving,
-    simulate_online_cluster_serving,
+    DriftPricer,
 )
 
 __all__ = [
@@ -82,12 +83,12 @@ __all__ = [
     "make_arrivals",
     "poisson_arrivals",
     "bursty_arrivals",
-    "simulate_serving",
+    "StepPricer",
+    "continuous_batching",
     "engine_step_time",
-    "simulate_cluster_serving",
+    "CurvePricer",
     "PlacementStepTimer",
     "KeptSample",
     "OnlineServingResult",
-    "simulate_online_serving",
-    "simulate_online_cluster_serving",
+    "DriftPricer",
 ]

@@ -11,26 +11,29 @@ Three pieces compose:
   traffic) and :func:`bursty_arrivals` (a two-state Markov-modulated
   Poisson process: flash-crowd bursts at ``burst_factor`` times the base
   rate, with the calm state slowed so the long-run mean rate is preserved).
-* **Continuous batching** — :func:`simulate_serving` runs the iteration-
+* **Continuous batching** — :func:`continuous_batching` runs the iteration-
   level scheduler production MoE servers use: one global decode batch;
   waiting requests join at step boundaries whenever a slot is free, and
   finished requests leave immediately (no head-of-line blocking on the
   longest request in a static batch).
-* **Step-time calibration** — :func:`engine_step_time` probes the
-  vectorized engine (:func:`repro.engine.executor.simulate_inference`) at
-  a handful of batch sizes and interpolates, so serving simulations price
-  each decode step with the full placement-aware compute + collective cost
-  model rather than a made-up constant.
+* **Step pricing** — a :class:`StepPricer` tells the loop what each step
+  costs.  :class:`CurvePricer` wraps :func:`engine_step_time`, which
+  probes the vectorized engine
+  (:func:`repro.engine.executor.simulate_inference`) at a handful of
+  batch sizes and interpolates.  :class:`DriftPricer` prices every step
+  from its own sampled routing with :class:`PlacementStepTimer` under a
+  placement that an :class:`~repro.core.online.OnlineReplacer` may
+  rewrite mid-run.
 
-:func:`simulate_cluster_serving` wires all three together from a
-:class:`~repro.config.ServingConfig`.
+``repro.run`` wires them together for ``serving`` scenarios (curve) and
+``online`` scenarios (drift).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,25 +46,14 @@ from repro.config import (
     ModelConfig,
     ServingConfig,
 )
-from repro.core.online import (
-    OnlineReplacer,
-    ReplacementEvent,
-    ReplacementPolicy,
-    model_kept_mass,
-)
+from repro.core.online import OnlineReplacer, ReplacementEvent, model_kept_mass
 from repro.core.placement.base import Placement
 from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
-from repro.deprecation import deprecated_entry_point
 from repro.engine.costs import CostModel
 from repro.engine.executor import simulate_inference
 from repro.engine.metrics import LatencyStats
-from repro.engine.workload import (
-    DecodeWorkload,
-    DriftScenario,
-    make_decode_workload,
-    make_drift_scenario,
-)
+from repro.engine.workload import DecodeWorkload, DriftScenario, make_decode_workload
 from repro.obs.recorder import MetricsRecorder
 from repro.trace.markov import MarkovRoutingModel
 
@@ -72,14 +64,14 @@ __all__ = [
     "poisson_arrivals",
     "bursty_arrivals",
     "make_arrivals",
-    "simulate_serving",
+    "StepPricer",
+    "continuous_batching",
     "engine_step_time",
-    "simulate_cluster_serving",
+    "CurvePricer",
     "PlacementStepTimer",
     "KeptSample",
     "OnlineServingResult",
-    "simulate_online_serving",
-    "simulate_online_cluster_serving",
+    "DriftPricer",
 ]
 
 
@@ -215,11 +207,44 @@ def make_arrivals(
 
 # -- continuous batching ------------------------------------------------------
 
+#: one request in the running batch: [request, tokens_remaining, admitted_s, home_gpu]
+BatchEntry = list[Any]
 
-def _simulate_serving(
+
+class StepPricer:
+    """What a continuous-batching step costs: the loop's pluggable price list.
+
+    :func:`continuous_batching` owns the schedule; a pricer owns the
+    clock charges.  The loop calls :meth:`admit` with the requests that
+    just joined the batch (seconds charged before the step),
+    :meth:`step` to price one decode iteration of the active batch,
+    :meth:`between_steps` after each step's completions (a stall added to
+    the clock before the next admission), and :meth:`finish` once with
+    the final step count and clock.  Pricers read the loop's
+    :data:`BatchEntry` lists and never mutate them.
+
+    The defaults charge nothing outside the step, so a subclass only has
+    to implement :meth:`step`; the loop skips hooks left at the default.
+    """
+
+    def admit(self, now: float, admitted: Sequence[BatchEntry]) -> float:
+        return 0.0
+
+    def step(self, now: float, active: Sequence[BatchEntry]) -> float:
+        raise NotImplementedError
+
+    def between_steps(self, steps: int, now: float) -> float:
+        return 0.0
+
+    def finish(self, steps: int, now: float) -> None:
+        return None
+
+
+def continuous_batching(
     requests: Iterable[Request],
-    step_time: Callable[[int], float],
+    pricer: StepPricer,
     max_batch_requests: int = 64,
+    num_gpus: int = 1,
     recorder: MetricsRecorder | None = None,
 ) -> ServingResult:
     """Serve ``requests`` with iteration-level continuous batching.
@@ -228,12 +253,16 @@ def _simulate_serving(
     decode batch advances one token per step for every active request;
     at each step boundary, waiting requests are admitted FCFS while slots
     are free (``max_batch_requests`` cap) and finished requests leave
-    immediately.  ``step_time(batch_size)`` prices one decode iteration for
-    the given number of active requests — use :func:`engine_step_time` to
-    derive it from the vectorized engine.
+    immediately.  Admitted requests get data-parallel home GPUs
+    round-robin over ``num_gpus``.  Each loop turn is: admit, charge the
+    pricer's admission cost, price and run one step, retire finished
+    requests, then charge the pricer's between-step stall (which every
+    queued and running request pays).  :class:`CurvePricer` prices steps
+    from a batch-size curve; :class:`DriftPricer` prices each step's
+    sampled routing under a live placement.
 
     An attached ``recorder`` observes the run as a one-replica fleet
-    (replica 0, regime 0, always active): enqueue at each arrival, free
+    (replica 0, regime 0, always active): enqueue at each arrival,
     admission at each step boundary, step and completion hooks as the
     batch advances.  Recording never changes scheduling or float order.
 
@@ -247,12 +276,21 @@ def _simulate_serving(
         empty = LatencyStats.from_samples([])
         return ServingResult((), empty, empty, 0.0, 0.0, 0, 0, 0.0)
 
+    step = pricer.step
+    # hooks a pricer leaves at the free default are skipped, not called:
+    # this loop is the hot path of long curve-priced runs
+    cls = type(pricer)
+    admit = pricer.admit if cls.admit is not StepPricer.admit else None
+    between_steps = (
+        pricer.between_steps if cls.between_steps is not StepPricer.between_steps else None
+    )
     first_arrival = pending[0].arrival_s
     now = first_arrival
     busy = 0.0
     steps = 0
     weighted_batch = 0.0
-    active: list[list] = []  # [request, tokens_remaining, admitted_s]
+    admitted_count = 0
+    active: list[BatchEntry] = []
     completed: list[CompletedRequest] = []
 
     # telemetry: the single global batch reports as replica 0; arrivals
@@ -272,20 +310,27 @@ def _simulate_serving(
                 q = arrivals[enq_ptr]
                 recorder.on_enqueue(q.arrival_s, 0, q.req_id)
                 enq_ptr += 1
-        admitted_ids: list[int] = []
+        admitted: list[BatchEntry] = []
         while (
             pending
             and pending[0].arrival_s <= now
             and len(active) < max_batch_requests
         ):
             req = pending.popleft()
-            active.append([req, req.generate_len, now])
+            entry = [req, req.generate_len, now, admitted_count % num_gpus]
+            admitted_count += 1
+            active.append(entry)
+            admitted.append(entry)
+        if admitted:
+            adm = admit(now, admitted) if admit is not None else 0.0
             if recorder is not None:
-                admitted_ids.append(req.req_id)
-        if recorder is not None and admitted_ids:
-            recorder.on_admit(now, 0, admitted_ids, 0.0)
+                recorder.on_admit(now, 0, [e[0].req_id for e in admitted], adm)
+            if adm:
+                now += adm
+                busy += adm
+                weighted_batch += len(active) * adm
 
-        dt = float(step_time(len(active)))
+        dt = step(now, active)
         if not dt > 0:
             raise ValueError(f"step_time must return positive seconds, got {dt}")
         now += dt
@@ -295,7 +340,7 @@ def _simulate_serving(
         if recorder is not None:
             recorder.on_step_end(now, 0, dt, len(active))
 
-        still_running: list[list] = []
+        still_running: list[BatchEntry] = []
         for entry in active:
             entry[1] -= 1
             if entry[1] == 0:
@@ -308,7 +353,10 @@ def _simulate_serving(
             else:
                 still_running.append(entry)
         active = still_running
+        if between_steps is not None:
+            now += between_steps(steps, now)
 
+    pricer.finish(steps, now)
     if recorder is not None:
         recorder.on_run_end(now)
     makespan = now - first_arrival
@@ -325,11 +373,6 @@ def _simulate_serving(
     )
 
 
-simulate_serving = deprecated_entry_point("repro.run() with a serving Scenario")(
-    _simulate_serving
-)
-
-
 # -- engine-calibrated step costs ---------------------------------------------
 
 
@@ -342,7 +385,6 @@ def engine_step_time(
     placement_strategy: str = "staged",
     probe_requests_per_gpu: Sequence[int] = (1, 2, 4, 8),
     calibration_generate_len: int = 4,
-    cost_model: CostModel | None = None,
     seed: int = 0,
 ) -> Callable[[int], float]:
     """Calibrate ``step_time(batch_size)`` against the vectorized engine.
@@ -408,12 +450,8 @@ def engine_step_time(
             if hi_workload.secondary_paths is None
             else hi_workload.secondary_paths[:calibration_generate_len],
         )
-        hi = simulate_inference(
-            model, cluster, infer, placement, hi_workload, cost_model
-        ).total_time_s
-        lo = simulate_inference(
-            model, cluster, infer, placement, lo_workload, cost_model
-        ).total_time_s
+        hi = simulate_inference(model, cluster, infer, placement, hi_workload).total_time_s
+        lo = simulate_inference(model, cluster, infer, placement, lo_workload).total_time_s
         batch_sizes.append(b * cluster.num_gpus)
         step_seconds.append((hi - lo) / calibration_generate_len)
 
@@ -428,51 +466,25 @@ def engine_step_time(
     return step_time
 
 
-def _simulate_cluster_serving(
-    model: ModelConfig,
-    cluster: ClusterConfig,
-    serving: ServingConfig,
-    mode: ExecutionMode = ExecutionMode.EXFLOW,
-    affinity: float = 0.85,
-    placement_strategy: str = "staged",
-    cost_model: CostModel | None = None,
-    recorder: MetricsRecorder | None = None,
-) -> ServingResult:
-    """End-to-end serving scenario from a :class:`~repro.config.ServingConfig`.
+class CurvePricer(StepPricer):
+    """Price each step from a ``step_time(batch_size)`` curve.
 
-    Calibrates the step-time curve with probes covering the admission cap,
-    draws the configured arrival sequence, and runs continuous batching.
+    The curve is usually :func:`engine_step_time`'s calibration against
+    the vectorized engine; any positive callable works.  Admission is
+    free and nothing happens between steps.
     """
-    g = cluster.num_gpus
-    cap_per_gpu = max(1, -(-serving.max_batch_requests // g))  # ceil div
-    probes = sorted({1, *(p for p in (2, 4, 8) if p < cap_per_gpu), cap_per_gpu})
-    step = engine_step_time(
-        model,
-        cluster,
-        mode=mode,
-        prompt_len=serving.prompt_len,
-        affinity=affinity,
-        placement_strategy=placement_strategy,
-        probe_requests_per_gpu=probes,
-        cost_model=cost_model,
-        seed=serving.seed,
-    )
-    rng = np.random.default_rng(serving.seed)
-    requests = make_arrivals(serving, rng)
-    return _simulate_serving(
-        requests,
-        step,
-        max_batch_requests=serving.max_batch_requests,
-        recorder=recorder,
-    )
 
+    def __init__(self, step_time: Callable[[int], float]) -> None:
+        self.step_time = step_time
 
-simulate_cluster_serving = deprecated_entry_point(
-    "repro.run() with a serving Scenario"
-)(_simulate_cluster_serving)
+    def step(self, now: float, active: Sequence[BatchEntry]) -> float:
+        return float(self.step_time(len(active)))
 
 
 # -- online drift-aware serving -----------------------------------------------
+
+#: cadence of the online kept-mass timeline, in decode steps
+_SAMPLE_EVERY_STEPS = 4
 
 
 class PlacementStepTimer:
@@ -490,7 +502,7 @@ class PlacementStepTimer:
     single decode iteration.  On a one-iteration workload it matches
     :func:`repro.engine.executor.simulate_inference` up to the one-time
     prompt AllGather, which :meth:`admission_time` prices separately (the
-    online loop charges it when requests join the batch).
+    :class:`DriftPricer` charges it when requests join the batch).
     """
 
     def __init__(
@@ -499,13 +511,12 @@ class PlacementStepTimer:
         cluster: ClusterConfig,
         mode: ExecutionMode = ExecutionMode.EXFLOW,
         dtype_bytes: int = 2,
-        cost_model: CostModel | None = None,
     ) -> None:
         self.model = model
         self.cluster = cluster
         self.mode = mode
         self.topo = Topology(cluster)
-        self.cost = cost_model or CostModel(model, gpu_flops=cluster.gpu_flops)
+        self.cost = CostModel(model, gpu_flops=cluster.gpu_flops)
         self.token_bytes = self.cost.token_bytes(dtype_bytes)
         self.coherent = mode.uses_context_coherence
 
@@ -683,251 +694,106 @@ class OnlineServingResult:
         return len(self.events)
 
 
-def _simulate_online_serving(
-    requests: Iterable[Request],
-    model: ModelConfig,
-    cluster: ClusterConfig,
-    drift: DriftScenario,
-    placement: Placement,
-    mode: ExecutionMode = ExecutionMode.EXFLOW,
-    max_batch_requests: int = 64,
-    replacer: OnlineReplacer | None = None,
-    timer: PlacementStepTimer | None = None,
-    dtype_bytes: int = 2,
-    sample_every_steps: int = 4,
-    rng: np.random.Generator | None = None,
-) -> OnlineServingResult:
-    """Continuous batching under drifting routing, with live re-placement.
+class DriftPricer(StepPricer):
+    """Price each step from routing that drifts, with live re-placement.
 
-    The loop is :func:`simulate_serving`'s scheduler with the step-cost
-    abstraction opened up: each decode step samples the active batch's
-    expert paths from ``drift.model_at(now)``, prices the step with a
-    :class:`PlacementStepTimer` under the *current* placement, streams the
-    routing into ``replacer``'s estimator, and lets the replacer migrate
-    experts at step boundaries — charging the migration stall to the
-    timeline, where every queued and running request pays for it.  Pass
-    ``replacer=None`` for the static arm (same drift, same scheduler,
-    placement frozen).
+    Each decode step samples the active batch's expert paths from
+    ``drift.model_at(now)`` and prices them with a
+    :class:`PlacementStepTimer` under the *current* placement; admission
+    charges coherent modes' prompt AllGather.  The sampled routing
+    streams into ``replacer``'s estimator, and between steps the replacer
+    may migrate experts: the pricer swaps in the new placement and
+    returns the migration stall for the loop to charge, so every queued
+    and running request pays for the move.  Pass ``replacer=None`` for
+    the static arm (same drift, same scheduler, placement frozen).
 
-    ``sample_every_steps`` sets the cadence of the kept-mass timeline (the
-    observability surface benchmarks and dashboards read).
+    The pricer keeps the kept-mass timeline (every 4 decode steps, after
+    each migration, and at the end) and the replacement events;
+    :meth:`result` wraps a finished run's :class:`ServingResult` with
+    them.  It carries one run's state, so build a fresh pricer per run.
     """
-    if max_batch_requests <= 0:
-        raise ValueError("max_batch_requests must be positive")
-    if sample_every_steps < 1:
-        raise ValueError("sample_every_steps must be >= 1")
-    if drift.num_experts != model.num_experts or drift.num_layers != model.num_moe_layers:
-        raise ValueError("drift scenario shape does not match model architecture")
-    rng = rng or np.random.default_rng(0)
-    timer = timer or PlacementStepTimer(model, cluster, mode=mode, dtype_bytes=dtype_bytes)
-    top2 = model.gating.k == 2
-    g = cluster.num_gpus
 
-    pending = deque(sorted(requests, key=lambda q: (q.arrival_s, q.req_id)))
-    empty_stats = LatencyStats.from_samples([])
-    if not pending:
-        empty = ServingResult((), empty_stats, empty_stats, 0.0, 0.0, 0, 0, 0.0)
-        return OnlineServingResult(empty, (), (), placement, 0.0)
+    def __init__(
+        self,
+        model: ModelConfig,
+        cluster: ClusterConfig,
+        drift: DriftScenario,
+        placement: Placement,
+        mode: ExecutionMode = ExecutionMode.EXFLOW,
+        replacer: OnlineReplacer | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        if drift.num_experts != model.num_experts or drift.num_layers != model.num_moe_layers:
+            raise ValueError("drift scenario shape does not match model architecture")
+        self.drift = drift
+        self.placement = placement
+        self.replacer = replacer
+        self.rng = rng or np.random.default_rng(0)
+        self.timer = PlacementStepTimer(model, cluster, mode=mode)
+        self.top2 = model.gating.k == 2
+        self.events: list[ReplacementEvent] = []
+        self.timeline: list[KeptSample] = []
+        self.stall_s = 0.0
 
-    first_arrival = pending[0].arrival_s
-    now = first_arrival
-    busy = 0.0
-    stall_total = 0.0
-    steps = 0
-    weighted_batch = 0.0
-    admit_counter = 0
-    active: list[list] = []  # [request, tokens_remaining, admitted_s, home, generated]
-    completed: list[CompletedRequest] = []
-    events: list[ReplacementEvent] = []
-    timeline: list[KeptSample] = []
+    def admit(self, now: float, admitted: Sequence[BatchEntry]) -> float:
+        return self.timer.admission_time(
+            np.array([e[3] for e in admitted], dtype=np.int64),
+            np.array([e[0].prompt_len for e in admitted], dtype=np.int64),
+        )
 
-    def record_sample() -> None:
-        routing = drift.model_at(now)
-        timeline.append(
+    def step(self, now: float, active: Sequence[BatchEntry]) -> float:
+        routing = self.drift.model_at(now)
+        b = len(active)
+        paths = routing.sample(b, self.rng).paths
+        secondary = routing.sample(b, self.rng).paths if self.top2 else None
+        home = np.array([e[3] for e in active], dtype=np.int64)
+        # context = prompt + the tokens generated so far
+        ctx = np.array(
+            [e[0].prompt_len + e[0].generate_len - e[1] for e in active], dtype=np.int64
+        )
+        dt = self.timer.step_time(paths, home, ctx, self.placement, secondary)
+        if self.replacer is not None:
+            self.replacer.observe(paths)
+        return dt
+
+    def between_steps(self, steps: int, now: float) -> float:
+        if steps % _SAMPLE_EVERY_STEPS == 0:
+            self._sample(steps, now)
+        if self.replacer is None:
+            return 0.0
+        result = self.replacer.maybe_replace(steps, now, self.placement)
+        if result is None:
+            return 0.0
+        self.placement, event = result
+        self.events.append(event)
+        self.stall_s += event.stall_s
+        self._sample(steps, now + event.stall_s)  # post-migration point, new placement
+        return event.stall_s
+
+    def finish(self, steps: int, now: float) -> None:
+        if not self.timeline or self.timeline[-1].step != steps:
+            self._sample(steps, now)
+
+    def _sample(self, steps: int, now: float) -> None:
+        self.timeline.append(
             KeptSample(
                 step=steps,
                 time_s=now,
-                true_kept=model_kept_mass(placement, routing),
+                true_kept=model_kept_mass(self.placement, self.drift.model_at(now)),
                 estimated_kept=(
-                    replacer.current_kept_mass(placement) if replacer else None
+                    self.replacer.current_kept_mass(self.placement)
+                    if self.replacer is not None
+                    else None
                 ),
             )
         )
 
-    while pending or active:
-        if not active and pending and pending[0].arrival_s > now:
-            now = pending[0].arrival_s  # idle: jump to the next arrival
-        newly_admitted: list[list] = []
-        while (
-            pending
-            and pending[0].arrival_s <= now
-            and len(active) < max_batch_requests
-        ):
-            req = pending.popleft()
-            entry = [req, req.generate_len, now, admit_counter % g, 0]
-            admit_counter += 1
-            active.append(entry)
-            newly_admitted.append(entry)
-
-        if newly_admitted:
-            adm = timer.admission_time(
-                np.array([e[3] for e in newly_admitted], dtype=np.int64),
-                np.array([e[0].prompt_len for e in newly_admitted], dtype=np.int64),
-            )
-            now += adm
-            busy += adm
-            weighted_batch += len(active) * adm
-
-        routing = drift.model_at(now)
-        b = len(active)
-        paths = routing.sample(b, rng).paths
-        secondary = routing.sample(b, rng).paths if top2 else None
-        home = np.array([e[3] for e in active], dtype=np.int64)
-        ctx = np.array([e[0].prompt_len + e[4] for e in active], dtype=np.int64)
-
-        dt = timer.step_time(paths, home, ctx, placement, secondary)
-        if not dt > 0:
-            raise ValueError(f"step_time must be positive seconds, got {dt}")
-        now += dt
-        busy += dt
-        steps += 1
-        weighted_batch += b * dt
-
-        if replacer is not None:
-            replacer.observe(paths)
-
-        still_running: list[list] = []
-        for entry in active:
-            entry[1] -= 1
-            entry[4] += 1
-            if entry[1] == 0:
-                completed.append(CompletedRequest(entry[0], entry[2], now))
-            else:
-                still_running.append(entry)
-        active = still_running
-
-        sampled = steps % sample_every_steps == 0
-        if sampled:
-            record_sample()
-
-        if replacer is not None:
-            result = replacer.maybe_replace(steps, now, placement)
-            if result is not None:
-                placement, event = result
-                now += event.stall_s  # everyone in flight pays for the move
-                stall_total += event.stall_s
-                events.append(event)
-                record_sample()  # post-migration point, new placement
-
-    if not timeline or timeline[-1].step != steps:
-        record_sample()
-
-    makespan = now - first_arrival
-    tokens = sum(c.request.generate_len for c in completed)
-    serving = ServingResult(
-        completed=tuple(completed),
-        latency=LatencyStats.from_samples([c.latency_s for c in completed]),
-        queue=LatencyStats.from_samples([c.queue_s for c in completed]),
-        makespan_s=makespan,
-        busy_s=busy,
-        decode_steps=steps,
-        generated_tokens=tokens,
-        mean_batch_size=weighted_batch / busy if busy > 0 else 0.0,
-    )
-    return OnlineServingResult(
-        serving=serving,
-        events=tuple(events),
-        kept_timeline=tuple(timeline),
-        final_placement=placement,
-        migration_stall_s=stall_total,
-    )
-
-
-simulate_online_serving = deprecated_entry_point(
-    "repro.run() with an online Scenario (drift/replacement sections)"
-)(_simulate_online_serving)
-
-
-def _simulate_online_cluster_serving(
-    model: ModelConfig,
-    cluster: ClusterConfig,
-    serving: ServingConfig,
-    drift: DriftScenario | str = "abrupt",
-    policy: ReplacementPolicy | None = None,
-    mode: ExecutionMode = ExecutionMode.EXFLOW,
-    affinity: float = 0.85,
-    placement_strategy: str = "staged",
-    profile_tokens: int = 2048,
-    halflife_tokens: float | None = None,
-    cost_model: CostModel | None = None,
-) -> OnlineServingResult:
-    """End-to-end online serving scenario from a :class:`ServingConfig`.
-
-    Mirrors the deploy sequence of a real cluster: profile the *initial*
-    regime offline (``profile_tokens`` sampled from the drift scenario at
-    t=0), solve the placement once with ``placement_strategy``, then serve
-    under the drifting workload — statically when ``policy`` is ``None``,
-    or with online re-placement when a :class:`ReplacementPolicy` is given.
-
-    ``drift`` is either a ready :class:`DriftScenario` or a kind name for
-    :func:`make_drift_scenario` over the expected serving horizon
-    (``num_requests / arrival_rate_rps``).
-
-    Seed layout (all derived from ``serving.seed``, all disjoint): arrivals
-    use ``seed``, the offline profile ``seed + 1``, the per-step routing
-    draws ``seed + 2``, and the replacer's solver ``seed + 3`` — the live
-    token stream must never replay the profile stream, or the placement
-    would be scored on the data it was fit to.
-    """
-    if isinstance(drift, str):
-        horizon = serving.num_requests / serving.arrival_rate_rps
-        drift = make_drift_scenario(
-            drift,
-            model.num_experts,
-            model.num_moe_layers,
-            horizon_s=horizon,
-            affinity=affinity,
-            seed=serving.seed,
+    def result(self, serving: ServingResult) -> OnlineServingResult:
+        """``serving`` (this pricer's finished run) with the online account."""
+        return OnlineServingResult(
+            serving=serving,
+            events=tuple(self.events),
+            kept_timeline=tuple(self.timeline),
+            final_placement=self.placement,
+            migration_stall_s=self.stall_s,
         )
-
-    if mode.uses_affinity_placement:
-        profile = drift.model_at(0.0).sample(
-            profile_tokens, np.random.default_rng(serving.seed + 1)
-        )
-        placement = solve_placement(placement_strategy, profile, cluster)
-    else:
-        placement = vanilla_placement(
-            model.num_moe_layers, model.num_experts, cluster.num_gpus
-        )
-
-    replacer = None
-    if policy is not None:
-        replacer = OnlineReplacer(
-            model,
-            cluster,
-            policy=policy,
-            halflife_tokens=halflife_tokens,
-            dtype_bytes=2,
-            rng=np.random.default_rng(serving.seed + 3),
-        )
-
-    requests = make_arrivals(serving, np.random.default_rng(serving.seed))
-    timer = PlacementStepTimer(model, cluster, mode=mode, cost_model=cost_model)
-    return _simulate_online_serving(
-        requests,
-        model,
-        cluster,
-        drift,
-        placement,
-        mode=mode,
-        max_batch_requests=serving.max_batch_requests,
-        replacer=replacer,
-        timer=timer,
-        sample_every_steps=4,
-        rng=np.random.default_rng(serving.seed + 2),
-    )
-
-
-simulate_online_cluster_serving = deprecated_entry_point(
-    "repro.run() with an online Scenario (drift/replacement sections)"
-)(_simulate_online_cluster_serving)

@@ -60,11 +60,7 @@ from repro.fleet.router import (
     Router,
     make_router,
 )
-from repro.fleet.simulate import (
-    FleetResult,
-    simulate_fleet_cluster_serving,
-    simulate_fleet_serving,
-)
+from repro.fleet.simulate import FleetResult
 
 __all__ = [
     "AdmissionController",
@@ -92,8 +88,6 @@ __all__ = [
     "Router",
     "make_router",
     "FleetResult",
-    "simulate_fleet_cluster_serving",
     "simulate_fleet_reference",
-    "simulate_fleet_serving",
     "simulate_fleet_tick",
 ]

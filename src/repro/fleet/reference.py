@@ -5,8 +5,9 @@ correctness reference for the vectorized tick engine
 (:mod:`repro.fleet.engine`) — the same relationship
 :mod:`repro.engine.reference` has to :mod:`repro.engine.executor`.  Each
 replica runs the same continuous-batching semantics as the
-single-replica online loop
-(:func:`~repro.engine.serving.simulate_online_serving`): admissions happen
+single-replica loop under a drift pricer
+(:func:`~repro.engine.serving.continuous_batching` with a
+:class:`~repro.engine.serving.DriftPricer`): admissions happen
 at step boundaries, every decode step is priced by a
 :class:`~repro.engine.serving.PlacementStepTimer` from that step's sampled
 routing under the replica's *current* placement, and coherent modes pay

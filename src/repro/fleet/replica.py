@@ -61,9 +61,6 @@ class ReplicaState(str, Enum):
     PENDING = "pending"
     BOOTING = "booting"
     RUNNING = "running"
-    # alias kept for call sites written before the lifecycle grew FAILED;
-    # same member object, so `state is ReplicaState.RUNNING` still holds
-    ACTIVE = "running"
     DRAINING = "draining"
     FAILED = "failed"
     STOPPED = "stopped"

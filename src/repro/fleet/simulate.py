@@ -13,7 +13,7 @@ The fleet simulation exists twice, by design:
 
 :func:`_simulate_fleet_serving` dispatches on ``FleetConfig.engine``;
 :func:`_simulate_fleet_cluster_serving` is the config-driven entry point
-(the ``repro fleet`` CLI and the fig16 benchmark): it draws the regime
+(what ``repro.run`` calls for ``fleet`` scenarios): it draws the regime
 models, solves one placement per regime, labels arrivals with regimes and
 priorities, and runs the selected engine.
 """
@@ -35,8 +35,6 @@ from repro.core.online import ReplacementPolicy
 from repro.core.placement.base import Placement
 from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
-from repro.deprecation import deprecated_entry_point
-from repro.engine.costs import CostModel
 from repro.engine.serving import PlacementStepTimer, Request, make_arrivals
 from repro.fleet.admission import AdmissionController
 from repro.fleet.engine import simulate_fleet_tick
@@ -48,7 +46,7 @@ from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder
 from repro.trace.markov import MarkovRoutingModel
 
-__all__ = ["FleetResult", "simulate_fleet_serving", "simulate_fleet_cluster_serving"]
+__all__ = ["FleetResult"]
 
 
 def _simulate_fleet_serving(
@@ -109,11 +107,6 @@ def _simulate_fleet_serving(
     )
 
 
-simulate_fleet_serving = deprecated_entry_point(
-    "repro.run() with a fleet Scenario"
-)(_simulate_fleet_serving)
-
-
 def _simulate_fleet_cluster_serving(
     model: ModelConfig,
     cluster: ClusterConfig,
@@ -127,7 +120,6 @@ def _simulate_fleet_cluster_serving(
     regime_weight_at: Callable[[float], Sequence[float]] | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
-    cost_model: CostModel | None = None,
     recorder: MetricsRecorder | None = None,
     profiler: PhaseProfiler | None = None,
 ) -> FleetResult:
@@ -186,7 +178,7 @@ def _simulate_fleet_cluster_serving(
         regime_weight_at=regime_weight_at,
     )
 
-    timer = PlacementStepTimer(model, cluster, mode=mode, cost_model=cost_model)
+    timer = PlacementStepTimer(model, cluster, mode=mode)
     return _simulate_fleet_serving(
         labelled,
         model,
@@ -203,8 +195,3 @@ def _simulate_fleet_cluster_serving(
         recorder=recorder,
         profiler=profiler,
     )
-
-
-simulate_fleet_cluster_serving = deprecated_entry_point(
-    "repro.run() with a fleet Scenario"
-)(_simulate_fleet_cluster_serving)

@@ -20,14 +20,23 @@ import multiprocessing
 import os
 import traceback
 import warnings
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.config import ExecutionMode
+from repro.core.online import OnlineReplacer
+from repro.core.placement.registry import solve_placement
+from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.comparison import compare_modes
 from repro.engine.serving import (
-    _simulate_cluster_serving,
-    _simulate_online_cluster_serving,
+    CurvePricer,
+    DriftPricer,
+    continuous_batching,
+    engine_step_time,
+    make_arrivals,
 )
+from repro.engine.workload import make_drift_scenario
 from repro.fleet.requests import flash_crowd_arrivals
 from repro.fleet.simulate import _simulate_fleet_cluster_serving
 from repro.obs.detect import SignalDetector, score_against_chaos
@@ -132,19 +141,115 @@ def _run_batch(s: Scenario) -> SimReport:
     )
 
 
-def _run_serving(s: Scenario, recorder: MetricsRecorder | None = None) -> SimReport:
-    res = _simulate_cluster_serving(
-        s.model,
-        s.cluster,
-        s.serving,
-        mode=s.mode,
+def _curve_pricer(s: Scenario) -> CurvePricer:
+    """The calibrated step-time curve, probed up to the admission cap."""
+    serving = s.serving
+    g = s.cluster.num_gpus
+    cap_per_gpu = max(1, -(-serving.max_batch_requests // g))  # ceil div
+    probes = sorted({1, *(p for p in (2, 4, 8) if p < cap_per_gpu), cap_per_gpu})
+    return CurvePricer(
+        engine_step_time(
+            s.model,
+            s.cluster,
+            mode=s.mode,
+            prompt_len=serving.prompt_len,
+            affinity=s.affinity,
+            placement_strategy=s.placement_strategy,
+            probe_requests_per_gpu=probes,
+            seed=serving.seed,
+        )
+    )
+
+
+def _drift_pricer(s: Scenario) -> DriftPricer:
+    """Deploy as a real cluster would, then price the drifting workload.
+
+    Profile the *initial* regime offline (``profile_tokens`` sampled from
+    the drift scenario at t=0), solve the placement once, then serve under
+    the drift ``s.drift`` names over the expected horizon
+    (``num_requests / arrival_rate_rps``) — statically without a
+    replacement section, with online re-placement with one.
+
+    Seed layout (all derived from ``serving.seed``, all disjoint): arrivals
+    use ``seed``, the offline profile ``seed + 1``, the per-step routing
+    draws ``seed + 2``, and the replacer's solver ``seed + 3`` — the live
+    token stream must never replay the profile stream, or the placement
+    would be scored on the data it was fit to.
+    """
+    model, cluster, serving = s.model, s.cluster, s.serving
+    drift = make_drift_scenario(
+        s.drift.kind if s.drift is not None else "none",
+        model.num_experts,
+        model.num_moe_layers,
+        horizon_s=serving.num_requests / serving.arrival_rate_rps,
         affinity=s.affinity,
-        placement_strategy=s.placement_strategy,
+        seed=serving.seed,
+    )
+    if s.mode.uses_affinity_placement:
+        profile = drift.model_at(0.0).sample(
+            s.profile_tokens, np.random.default_rng(serving.seed + 1)
+        )
+        placement = solve_placement(s.placement_strategy, profile, cluster)
+    else:
+        placement = vanilla_placement(
+            model.num_moe_layers, model.num_experts, cluster.num_gpus
+        )
+    replacer = None
+    if s.replacement is not None:
+        replacer = OnlineReplacer(
+            model,
+            cluster,
+            policy=s.replacement.policy,
+            halflife_tokens=s.replacement.halflife_tokens,
+            dtype_bytes=2,
+            rng=np.random.default_rng(serving.seed + 3),
+        )
+    return DriftPricer(
+        model,
+        cluster,
+        drift,
+        placement,
+        mode=s.mode,
+        replacer=replacer,
+        rng=np.random.default_rng(serving.seed + 2),
+    )
+
+
+def _run_single_replica(
+    s: Scenario, recorder: MetricsRecorder | None = None
+) -> SimReport:
+    """``serving`` and ``online`` kinds: one continuous-batching replica.
+
+    The kinds differ only in the step pricer: ``serving`` prices steps
+    from the calibrated batch-size curve, ``online`` from each step's
+    sampled drifting routing under a live placement.
+    """
+    pricer = _drift_pricer(s) if s.kind == "online" else _curve_pricer(s)
+    requests = make_arrivals(s.serving, np.random.default_rng(s.serving.seed))
+    res = continuous_batching(
+        requests,
+        pricer,
+        max_batch_requests=s.serving.max_batch_requests,
+        num_gpus=s.cluster.num_gpus,
         recorder=recorder,
     )
+    raw: object = res
+    account: dict[str, Any]
+    if isinstance(pricer, DriftPricer):
+        online = pricer.result(res)
+        timeline = online.kept_timeline
+        raw = online
+        account = {
+            "kept_mass_initial": timeline[0].true_kept if timeline else None,
+            "kept_mass_final": timeline[-1].true_kept if timeline else None,
+            "num_replacements": online.num_replacements,
+            "migration_stall_s": online.migration_stall_s,
+        }
+    else:
+        account = {"latency_hist": res.latency.histogram_dict()}
     return SimReport(
         scenario=s.name,
-        kind="serving",
+        kind=s.kind,
         completed=len(res.completed),
         generated_tokens=res.generated_tokens,
         makespan_s=res.makespan_s,
@@ -157,51 +262,9 @@ def _run_serving(s: Scenario, recorder: MetricsRecorder | None = None) -> SimRep
         latency_p95_s=res.latency.p95_s,
         latency_p99_s=res.latency.p99_s,
         queue_p95_s=res.queue.p95_s,
-        latency_hist=res.latency.histogram_dict(),
+        **account,
         **_cost_fields(s, res.makespan_s, res.generated_tokens),
-        raw=res,
-    )
-
-
-def _run_online(s: Scenario) -> SimReport:
-    drift_kind = s.drift.kind if s.drift is not None else "none"
-    policy = s.replacement.policy if s.replacement is not None else None
-    halflife = s.replacement.halflife_tokens if s.replacement is not None else None
-    res = _simulate_online_cluster_serving(
-        s.model,
-        s.cluster,
-        s.serving,
-        drift=drift_kind,
-        policy=policy,
-        mode=s.mode,
-        affinity=s.affinity,
-        placement_strategy=s.placement_strategy,
-        profile_tokens=s.profile_tokens,
-        halflife_tokens=halflife,
-    )
-    serving = res.serving
-    timeline = res.kept_timeline
-    return SimReport(
-        scenario=s.name,
-        kind="online",
-        completed=len(serving.completed),
-        generated_tokens=serving.generated_tokens,
-        makespan_s=serving.makespan_s,
-        decode_steps=serving.decode_steps,
-        mean_batch_size=serving.mean_batch_size,
-        throughput_rps=serving.throughput_rps,
-        throughput_tokens_per_s=serving.throughput_tokens_per_s,
-        latency_mean_s=serving.latency.mean_s,
-        latency_p50_s=serving.latency.p50_s,
-        latency_p95_s=serving.latency.p95_s,
-        latency_p99_s=serving.latency.p99_s,
-        queue_p95_s=serving.queue.p95_s,
-        kept_mass_initial=timeline[0].true_kept if timeline else None,
-        kept_mass_final=timeline[-1].true_kept if timeline else None,
-        num_replacements=res.num_replacements,
-        migration_stall_s=res.migration_stall_s,
-        **_cost_fields(s, serving.makespan_s, serving.generated_tokens),
-        raw=res,
+        raw=raw,
     )
 
 
@@ -288,14 +351,6 @@ def _run_fleet(
         usd_per_million_tokens=res.usd_per_million_tokens,
         raw=res,
     )
-
-
-_RUNNERS = {
-    "batch": _run_batch,
-    "serving": _run_serving,
-    "online": _run_online,
-    "fleet": _run_fleet,
-}
 
 
 def make_recorder(scenario: Scenario | str) -> TimelineRecorder:
@@ -459,10 +514,10 @@ def run(
                 )
     if s.kind == "fleet":
         report = _run_fleet(s, recorder=engine_recorder, profiler=profiler)
-    elif s.kind == "serving":
-        report = _run_serving(s, recorder=recorder)
+    elif s.kind == "batch":
+        report = _run_batch(s)
     else:
-        report = _RUNNERS[s.kind](s)
+        report = _run_single_replica(s, recorder=recorder)
     timeline_rec = next(
         (r for r in leaves if isinstance(r, TimelineRecorder)), None
     )

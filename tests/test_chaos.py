@@ -236,8 +236,7 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="failed -> running"):
             r.transition_to(ReplicaState.RUNNING)
 
-    def test_active_alias_is_running(self):
-        assert ReplicaState.ACTIVE is ReplicaState.RUNNING
+    def test_running_replica_is_routable(self):
         assert _replica(ReplicaState.RUNNING).routable
 
     def test_failed_replica_rejects_traffic(self):
@@ -297,7 +296,7 @@ class TestSweepErrorSurfacing:
         def boom(s, recorder=None):
             raise RuntimeError("deliberate test failure")
 
-        monkeypatch.setattr(runner_mod, "_run_serving", boom)
+        monkeypatch.setattr(runner_mod, "_run_single_replica", boom)
         with pytest.raises(SweepError) as excinfo:
             run_sweep(["serve-poisson-smoke"], processes=1)
         err = excinfo.value

@@ -224,7 +224,7 @@ class TestFleetCostAccounting:
             r for r in res.replicas if r.final_state == ReplicaState.STOPPED.value
         ][0]
         live = [
-            r for r in res.replicas if r.final_state == ReplicaState.ACTIVE.value
+            r for r in res.replicas if r.final_state == ReplicaState.RUNNING.value
         ][0]
         assert drained.gpu_hours < live.gpu_hours
 

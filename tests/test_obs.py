@@ -380,6 +380,13 @@ class TestRunFacadeTelemetry:
         assert tl["num_replicas"] == 1
         assert report.latency_hist
         assert sum(report.latency_hist.values()) == report.completed
+        # recording is observation-only: the bare run agrees on every field
+        bare = run(_serving_scenario())
+        assert dataclasses.replace(report, timeline=None) == bare
+        assert [
+            (c.request.req_id, c.admitted_s, c.finished_s) for c in report.raw.completed
+        ] == [(c.request.req_id, c.admitted_s, c.finished_s) for c in bare.raw.completed]
+        assert report.raw.busy_s == bare.raw.busy_s
 
     def test_fleet_scenario_records_timeline_and_profile(self):
         s = _serving_scenario(

@@ -37,10 +37,9 @@ from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.executor import simulate_inference
 from repro.engine.serving import (
+    DriftPricer,
     PlacementStepTimer,
-    poisson_arrivals,
-    simulate_online_cluster_serving,
-    simulate_online_serving,
+    continuous_batching,
 )
 from repro.engine.workload import (
     AbruptDrift,
@@ -51,6 +50,7 @@ from repro.engine.workload import (
     make_decode_workload,
     make_drift_scenario,
 )
+from repro.scenarios import DriftSpec, ReplacementSpec, Scenario, run
 from repro.trace.events import CountTrace
 from repro.trace.markov import MarkovRoutingModel
 
@@ -554,6 +554,18 @@ class TestPlacementStepTimer:
             timer.step_time(ok_paths, home, np.zeros(2, dtype=int), placement)
 
 
+def serve_online(model, cluster, serving, drift, policy=None, halflife_tokens=None):
+    """One ``online`` scenario's raw result: static arm unless ``policy``."""
+    replacement = (
+        None if policy is None else ReplacementSpec(policy, halflife_tokens=halflife_tokens)
+    )
+    spec = Scenario(
+        "online", model, cluster, serving=serving,
+        drift=DriftSpec(drift), replacement=replacement,
+    )
+    return run(spec).raw
+
+
 class TestOnlineServing:
     @pytest.fixture
     def setup(self, small_model, small_cluster):
@@ -569,7 +581,7 @@ class TestOnlineServing:
 
     def test_all_requests_complete_static(self, setup):
         model, cluster, serving = setup
-        res = simulate_online_cluster_serving(model, cluster, serving, drift="abrupt")
+        res = serve_online(model, cluster, serving, drift="abrupt")
         assert len(res.serving.completed) == serving.num_requests
         assert res.events == () and res.migration_stall_s == 0.0
         assert res.serving.latency.p50_s <= res.serving.latency.p99_s
@@ -580,10 +592,10 @@ class TestOnlineServing:
         policy = ReplacementPolicy(
             check_every_steps=4, min_effective_tokens=64, cooldown_steps=8
         )
-        a = simulate_online_cluster_serving(
+        a = serve_online(
             model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=128
         )
-        b = simulate_online_cluster_serving(
+        b = serve_online(
             model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=128
         )
         assert a.serving.latency == b.serving.latency
@@ -600,8 +612,8 @@ class TestOnlineServing:
             cooldown_steps=8,
             solver_passes=6,
         )
-        static = simulate_online_cluster_serving(model, cluster, serving, drift="abrupt")
-        online = simulate_online_cluster_serving(
+        static = serve_online(model, cluster, serving, drift="abrupt")
+        online = serve_online(
             model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=128
         )
         assert online.num_replacements >= 1
@@ -620,7 +632,7 @@ class TestOnlineServing:
         policy = ReplacementPolicy(
             check_every_steps=4, min_effective_tokens=32, cooldown_steps=4
         )
-        online = simulate_online_cluster_serving(
+        online = serve_online(
             model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=64
         )
         if online.events:
@@ -634,8 +646,9 @@ class TestOnlineServing:
         placement = vanilla_placement(
             small_model.num_moe_layers, small_model.num_experts, small_cluster.num_gpus
         )
-        res = simulate_online_serving(
-            [], small_model, small_cluster, drift, placement
+        pricer = DriftPricer(small_model, small_cluster, drift, placement)
+        res = pricer.result(
+            continuous_batching([], pricer, num_gpus=small_cluster.num_gpus)
         )
         assert res.serving.completed == () and res.kept_timeline == ()
 
@@ -644,19 +657,13 @@ class TestOnlineServing:
         placement = vanilla_placement(
             small_model.num_moe_layers, small_model.num_experts, small_cluster.num_gpus
         )
-        with pytest.raises(ValueError):
-            simulate_online_serving(
-                poisson_arrivals(ServingConfig(num_requests=4)),
-                small_model,
-                small_cluster,
-                drift,
-                placement,
-            )
+        with pytest.raises(ValueError, match="drift scenario shape"):
+            DriftPricer(small_model, small_cluster, drift, placement)
 
     def test_static_no_drift_matches_nothing_lost(self, setup):
         """Without drift the kept-mass timeline is flat (placement stays
         matched to traffic) — the control arm of the whole subsystem."""
         model, cluster, serving = setup
-        res = simulate_online_cluster_serving(model, cluster, serving, drift="none")
+        res = serve_online(model, cluster, serving, drift="none")
         kepts = [s.true_kept for s in res.kept_timeline]
         assert max(kepts) - min(kepts) < 1e-9
