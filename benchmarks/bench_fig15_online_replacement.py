@@ -122,8 +122,8 @@ def _assert_claims(checks: dict) -> None:
     for drift, c in checks.items():
         static, online, serving = c["static"], c["online"], c["serving"]
         # both arms serve every request; the static arm never migrates
-        assert len(static.serving.completed) == serving.num_requests, drift
-        assert len(online.serving.completed) == serving.num_requests, drift
+        assert static.serving.num_completed == serving.num_requests, drift
+        assert online.serving.num_completed == serving.num_requests, drift
         assert static.num_replacements == 0 and static.migration_stall_s == 0.0
         # every migration is accounted: events carry positive stalls that sum
         # to the timeline charge the latency percentiles already include

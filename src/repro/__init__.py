@@ -93,6 +93,7 @@ from repro.core import (
     vanilla_placement,
 )
 from repro.engine import (
+    Arrivals,
     CostModel,
     DecodeWorkload,
     LatencyStats,
@@ -186,6 +187,7 @@ __all__ = [
     "validate_replication_memory",
     "vanilla_placement",
     # engine
+    "Arrivals",
     "CostModel",
     "DecodeWorkload",
     "LatencyStats",

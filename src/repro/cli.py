@@ -381,7 +381,7 @@ def _print_serving_result(res: Any, label: str, title: str) -> None:
     rows = [
         [
             label,
-            len(res.completed),
+            res.num_completed,
             res.latency.p50_s * 1e3,
             res.latency.p95_s * 1e3,
             res.latency.p99_s * 1e3,

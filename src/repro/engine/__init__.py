@@ -43,6 +43,7 @@ from repro.engine.reference import simulate_inference_reference
 from repro.engine.comparison import compare_modes, ComparisonRow
 from repro.engine.serving import (
     Request,
+    Arrivals,
     CompletedRequest,
     ServingResult,
     make_arrivals,
@@ -78,6 +79,7 @@ __all__ = [
     "compare_modes",
     "ComparisonRow",
     "Request",
+    "Arrivals",
     "CompletedRequest",
     "ServingResult",
     "make_arrivals",

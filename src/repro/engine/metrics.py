@@ -50,8 +50,11 @@ class LatencyStats:
     histogram: tuple[int, ...] = ()
 
     @classmethod
-    def from_samples(cls, samples: Iterable[float]) -> "LatencyStats":
-        arr = np.asarray(list(samples), dtype=np.float64)
+    def from_samples(cls, samples: Iterable[float] | np.ndarray) -> "LatencyStats":
+        # an ndarray is read as-is (no copy when it is already float64)
+        arr = np.asarray(
+            samples if isinstance(samples, np.ndarray) else list(samples), dtype=np.float64
+        )
         num_buckets = len(LATENCY_HIST_EDGES_S) + 1
         if arr.size == 0:
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, (0,) * num_buckets)

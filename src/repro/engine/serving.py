@@ -27,13 +27,24 @@ Three pieces compose:
 
 ``repro.run`` wires them together for ``serving`` scenarios (curve) and
 ``online`` scenarios (drift).
+
+Requests are columnar outside the running batch.  The arrival processes
+return one :class:`Arrivals` value — a float64 time column plus the
+request lengths — that is still a ``Sequence[Request]`` and builds each
+:class:`Request` only when indexed or iterated.  The loop walks the
+arrivals in ``(arrival_s, req_id)`` order, materialises a ``Request``
+only while it is in the active batch, and writes each completion's
+admission and finish times into preallocated arrays that
+:class:`ServingResult` keeps; its :attr:`~ServingResult.completed` view
+rebuilds :class:`CompletedRequest` objects on demand.  A long run thus
+holds a few machine words per request instead of two Python objects.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, overload
 
 import numpy as np
 
@@ -59,6 +70,7 @@ from repro.trace.markov import MarkovRoutingModel
 
 __all__ = [
     "Request",
+    "Arrivals",
     "CompletedRequest",
     "ServingResult",
     "poisson_arrivals",
@@ -110,11 +122,82 @@ class CompletedRequest:
         return self.admitted_s - self.request.arrival_s
 
 
-@dataclass(frozen=True)
-class ServingResult:
-    """Outcome of one continuous-batching serving simulation."""
+class Arrivals(Sequence[Request]):
+    """An arrival sequence stored as columns, one float64 time per request.
 
-    completed: tuple[CompletedRequest, ...]
+    Request ``i`` has ``req_id == i``, arrival time ``arrival_s[i]`` and
+    the shared ``prompt_len`` and ``generate_len``.  Indexing or iterating
+    builds each :class:`Request` on demand, and ``==`` between two
+    ``Arrivals`` compares them field for field, so callers that want
+    objects still get them while :func:`continuous_batching` reads the
+    time column directly.
+    """
+
+    __slots__ = ("arrival_s", "generate_len", "prompt_len")
+
+    def __init__(self, arrival_s: np.ndarray, prompt_len: int, generate_len: int) -> None:
+        times = np.asarray(arrival_s, dtype=np.float64)
+        if times.ndim != 1:
+            raise ValueError("arrival_s must be one-dimensional")
+        if times.size and times.min() < 0:
+            raise ValueError("arrival_s must be >= 0")
+        if prompt_len <= 0 or generate_len <= 0:
+            raise ValueError("prompt_len and generate_len must be positive")
+        self.arrival_s = times
+        self.prompt_len = int(prompt_len)
+        self.generate_len = int(generate_len)
+
+    def __len__(self) -> int:
+        return len(self.arrival_s)
+
+    @overload
+    def __getitem__(self, i: int) -> Request: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> list[Request]: ...
+
+    def __getitem__(self, i: int | slice) -> Request | list[Request]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        j = range(len(self))[i]  # normalises negative indices, raises IndexError
+        return Request(j, float(self.arrival_s[j]), self.prompt_len, self.generate_len)
+
+    def __iter__(self) -> Iterator[Request]:
+        p, g = self.prompt_len, self.generate_len
+        for i, t in enumerate(self.arrival_s.tolist()):
+            yield Request(i, t, p, g)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Arrivals):
+            return NotImplemented
+        return (
+            self.prompt_len == other.prompt_len
+            and self.generate_len == other.generate_len
+            and bool(np.array_equal(self.arrival_s, other.arrival_s))
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Arrivals({len(self)} requests, prompt_len={self.prompt_len}, "
+            f"generate_len={self.generate_len})"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ServingResult:
+    """Outcome of one continuous-batching serving simulation.
+
+    The schedule is columnar, in completion order: the ``i``-th request
+    to finish is ``requests[order[i]]``, admitted at ``admitted_s[i]`` and
+    finished at ``finished_s[i]``.  :attr:`completed` rebuilds the
+    :class:`CompletedRequest` view on demand.  ``latency`` and ``queue``
+    summarise the samples in that same order.
+    """
+
+    requests: Sequence[Request]
+    order: np.ndarray
+    admitted_s: np.ndarray
+    finished_s: np.ndarray
     latency: LatencyStats
     queue: LatencyStats
     makespan_s: float
@@ -124,11 +207,29 @@ class ServingResult:
     mean_batch_size: float
 
     @property
+    def num_completed(self) -> int:
+        return len(self.order)
+
+    @property
+    def completed(self) -> tuple[CompletedRequest, ...]:
+        """Every served request with its timeline, in completion order."""
+        reqs = self.requests
+        return tuple(
+            CompletedRequest(reqs[k], a, f)
+            for k, a, f in zip(
+                self.order.tolist(),
+                self.admitted_s.tolist(),
+                self.finished_s.tolist(),
+                strict=True,
+            )
+        )
+
+    @property
     def throughput_rps(self) -> float:
         # zero-span runs (no completed requests) have zero throughput, not inf
         if self.makespan_s <= 0:
             return 0.0
-        return len(self.completed) / self.makespan_s
+        return self.num_completed / self.makespan_s
 
     @property
     def throughput_tokens_per_s(self) -> float:
@@ -149,20 +250,16 @@ class ServingResult:
 
 def poisson_arrivals(
     cfg: ServingConfig, rng: np.random.Generator | None = None
-) -> list[Request]:
+) -> Arrivals:
     """Memoryless arrivals: exponential inter-arrival gaps at the mean rate."""
     rng = rng or np.random.default_rng(cfg.seed)
     gaps = rng.exponential(1.0 / cfg.arrival_rate_rps, size=cfg.num_requests)
-    times = np.cumsum(gaps)
-    return [
-        Request(i, float(times[i]), cfg.prompt_len, cfg.generate_len)
-        for i in range(cfg.num_requests)
-    ]
+    return Arrivals(np.cumsum(gaps), cfg.prompt_len, cfg.generate_len)
 
 
 def bursty_arrivals(
     cfg: ServingConfig, rng: np.random.Generator | None = None
-) -> list[Request]:
+) -> Arrivals:
     """Markov-modulated Poisson arrivals with rate-preserving bursts.
 
     A two-state chain alternates between a *burst* state (instantaneous
@@ -183,22 +280,22 @@ def bursty_arrivals(
     s_b = cfg.burst_persistence
     s_c = 1.0 - p * (1.0 - s_b) / (1.0 - p) if p > 0 else 1.0
 
-    requests = []
+    times = np.empty(cfg.num_requests, dtype=np.float64)
     now = 0.0
     in_burst = bool(rng.random() < p)
     for i in range(cfg.num_requests):
         rate = burst_rate if in_burst else calm_rate
         now += float(rng.exponential(1.0 / rate))
-        requests.append(Request(i, now, cfg.prompt_len, cfg.generate_len))
+        times[i] = now
         stay = s_b if in_burst else s_c
         if rng.random() >= stay:
             in_burst = not in_burst
-    return requests
+    return Arrivals(times, cfg.prompt_len, cfg.generate_len)
 
 
 def make_arrivals(
     cfg: ServingConfig, rng: np.random.Generator | None = None
-) -> list[Request]:
+) -> Arrivals:
     """Build the arrival sequence ``cfg.arrival`` names."""
     if cfg.arrival == "poisson":
         return poisson_arrivals(cfg, rng)
@@ -207,7 +304,8 @@ def make_arrivals(
 
 # -- continuous batching ------------------------------------------------------
 
-#: one request in the running batch: [request, tokens_remaining, admitted_s, home_gpu]
+#: one request in the running batch:
+#: [request, tokens_remaining, admitted_s, home_gpu, index into the served requests]
 BatchEntry = list[Any]
 
 
@@ -266,16 +364,36 @@ def continuous_batching(
     admission at each step boundary, step and completion hooks as the
     batch advances.  Recording never changes scheduling or float order.
 
-    Returns the full :class:`ServingResult`, including p50/p95/p99 latency
+    ``requests`` is an :class:`Arrivals`, read as columns, or any
+    iterable of :class:`Request`.  Returns the full :class:`ServingResult`:
+    the schedule as completion-ordered columns plus p50/p95/p99 latency
     and queueing statistics.
     """
     if max_batch_requests <= 0:
         raise ValueError("max_batch_requests must be positive")
-    pending = deque(sorted(requests, key=lambda q: (q.arrival_s, q.req_id)))
-    if not pending:
-        empty = LatencyStats.from_samples([])
-        return ServingResult((), empty, empty, 0.0, 0.0, 0, 0, 0.0)
+    served: Sequence[Request]
+    if isinstance(requests, Arrivals):
+        served = requests
+        times = requests.arrival_s
+        ids = np.arange(len(requests), dtype=np.int64)
+    else:
+        served = tuple(requests)
+        times = np.fromiter((q.arrival_s for q in served), np.float64, len(served))
+        ids = np.fromiter((q.req_id for q in served), np.int64, len(served))
+    n = len(served)
+    # completion columns, filled in completion order
+    done_idx = np.empty(n, dtype=np.int64)
+    done_adm = np.empty(n, dtype=np.float64)
+    done_fin = np.empty(n, dtype=np.float64)
+    if n == 0:
+        empty = LatencyStats.from_samples(done_fin)
+        return ServingResult(served, done_idx, done_adm, done_fin, empty, empty,
+                             0.0, 0.0, 0, 0, 0.0)
 
+    # FCFS admission order: by arrival time, ties by req_id (lexsort is
+    # stable, so exact duplicates keep their input order)
+    order = np.lexsort((ids, times))
+    sorted_s = times[order]
     step = pricer.step
     # hooks a pricer leaves at the free default are skipped, not called:
     # this loop is the hot path of long curve-priced runs
@@ -284,41 +402,43 @@ def continuous_batching(
     between_steps = (
         pricer.between_steps if cls.between_steps is not StepPricer.between_steps else None
     )
-    first_arrival = pending[0].arrival_s
+    first_arrival = float(sorted_s[0])
     now = first_arrival
     busy = 0.0
     steps = 0
     weighted_batch = 0.0
-    admitted_count = 0
+    tokens = 0
+    admitted_count = 0  # also the admission cursor into ``order``
+    next_arrival = first_arrival
+    done = 0
     active: list[BatchEntry] = []
-    completed: list[CompletedRequest] = []
 
     # telemetry: the single global batch reports as replica 0; arrivals
     # enqueue lazily (in arrival order, stamped at their arrival time) the
     # first time the clock passes them
-    arrivals = list(pending) if recorder is not None else []
     enq_ptr = 0
     if recorder is not None:
+        enq_s = sorted_s.tolist()
+        enq_id = ids[order].tolist()
         recorder.on_run_start(first_arrival, {})
         recorder.on_replica_start(first_arrival, 0, 0, False, first_arrival, first_arrival)
 
-    while pending or active:
-        if not active and pending and pending[0].arrival_s > now:
-            now = pending[0].arrival_s  # idle: jump to the next arrival
+    while admitted_count < n or active:
+        if not active and next_arrival > now:
+            now = next_arrival  # idle: jump to the next arrival
         if recorder is not None:
-            while enq_ptr < len(arrivals) and arrivals[enq_ptr].arrival_s <= now:
-                q = arrivals[enq_ptr]
-                recorder.on_enqueue(q.arrival_s, 0, q.req_id)
+            while enq_ptr < n and enq_s[enq_ptr] <= now:
+                recorder.on_enqueue(enq_s[enq_ptr], 0, enq_id[enq_ptr])
                 enq_ptr += 1
         admitted: list[BatchEntry] = []
-        while (
-            pending
-            and pending[0].arrival_s <= now
-            and len(active) < max_batch_requests
-        ):
-            req = pending.popleft()
-            entry = [req, req.generate_len, now, admitted_count % num_gpus]
+        while next_arrival <= now and len(active) < max_batch_requests:
+            k = int(order[admitted_count])
+            req = served[k]
+            entry = [req, req.generate_len, now, admitted_count % num_gpus, k]
             admitted_count += 1
+            next_arrival = (
+                float(sorted_s[admitted_count]) if admitted_count < n else math.inf
+            )
             active.append(entry)
             admitted.append(entry)
         if admitted:
@@ -344,11 +464,15 @@ def continuous_batching(
         for entry in active:
             entry[1] -= 1
             if entry[1] == 0:
-                completed.append(CompletedRequest(entry[0], entry[2], now))
+                req = entry[0]
+                done_idx[done] = entry[4]
+                done_adm[done] = entry[2]
+                done_fin[done] = now
+                done += 1
+                tokens += req.generate_len
                 if recorder is not None:
                     recorder.on_complete(
-                        now, 0, entry[0].req_id, entry[0].arrival_s, entry[2],
-                        entry[0].generate_len,
+                        now, 0, req.req_id, req.arrival_s, entry[2], req.generate_len
                     )
             else:
                 still_running.append(entry)
@@ -359,13 +483,16 @@ def continuous_batching(
     pricer.finish(steps, now)
     if recorder is not None:
         recorder.on_run_end(now)
-    makespan = now - first_arrival
-    tokens = sum(c.request.generate_len for c in completed)
+    del order, sorted_s  # free the sort columns before the latency pass
+    arrived = times[done_idx]
     return ServingResult(
-        completed=tuple(completed),
-        latency=LatencyStats.from_samples([c.latency_s for c in completed]),
-        queue=LatencyStats.from_samples([c.queue_s for c in completed]),
-        makespan_s=makespan,
+        requests=served,
+        order=done_idx,
+        admitted_s=done_adm,
+        finished_s=done_fin,
+        latency=LatencyStats.from_samples(done_fin - arrived),
+        queue=LatencyStats.from_samples(done_adm - arrived),
+        makespan_s=now - first_arrival,
         busy_s=busy,
         decode_steps=steps,
         generated_tokens=tokens,

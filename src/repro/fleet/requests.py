@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.config import FleetConfig, ServingConfig
-from repro.engine.serving import Request
+from repro.engine.serving import Arrivals, Request
 
 __all__ = [
     "FleetRequest",
@@ -130,7 +130,7 @@ def flash_crowd_arrivals(
     flash_start_s: float,
     flash_duration_s: float,
     rng: np.random.Generator | None = None,
-) -> list[Request]:
+) -> Arrivals:
     """Poisson arrivals whose rate jumps ``flash_factor``-fold in a window.
 
     Outside ``[flash_start_s, flash_start_s + flash_duration_s)`` the rate
@@ -144,17 +144,17 @@ def flash_crowd_arrivals(
         raise ValueError("flash window must have positive duration and start >= 0")
     rng = rng or np.random.default_rng(cfg.seed)
     lam_max = cfg.arrival_rate_rps * flash_factor
-    requests: list[Request] = []
+    times = np.empty(cfg.num_requests, dtype=np.float64)
+    accepted = 0
     now = 0.0
-    while len(requests) < cfg.num_requests:
+    while accepted < cfg.num_requests:
         now += float(rng.exponential(1.0 / lam_max))
         in_flash = flash_start_s <= now < flash_start_s + flash_duration_s
         lam = lam_max if in_flash else cfg.arrival_rate_rps
         if rng.random() < lam / lam_max:
-            requests.append(
-                Request(len(requests), now, cfg.prompt_len, cfg.generate_len)
-            )
-    return requests
+            times[accepted] = now
+            accepted += 1
+    return Arrivals(times, cfg.prompt_len, cfg.generate_len)
 
 
 def make_fleet_requests(

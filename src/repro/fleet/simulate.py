@@ -167,7 +167,7 @@ def _simulate_fleet_cluster_serving(
         placements = [flat for _ in range(fleet.num_regimes)]
 
     base = (
-        list(arrivals)
+        arrivals
         if arrivals is not None
         else make_arrivals(serving, np.random.default_rng(serving.seed))
     )

@@ -250,7 +250,7 @@ def _run_single_replica(
     return SimReport(
         scenario=s.name,
         kind=s.kind,
-        completed=len(res.completed),
+        completed=res.num_completed,
         generated_tokens=res.generated_tokens,
         makespan_s=res.makespan_s,
         decode_steps=res.decode_steps,

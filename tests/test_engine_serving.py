@@ -247,6 +247,8 @@ class TestContinuousBatching:
     def test_empty_input(self):
         res = serve([], constant_step(1e-3))
         assert res.completed == () and res.decode_steps == 0
+        assert res.num_completed == 0
+        assert res.order.shape == res.admitted_s.shape == res.finished_s.shape == (0,)
 
     def test_zero_makespan_throughput_is_zero(self):
         """Regression: zero-span results used to report inf throughput."""
