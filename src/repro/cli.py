@@ -12,7 +12,8 @@ Wraps the common workflows so the library is usable without writing Python:
 * ``models`` — list the Table II model presets.
 * ``profile`` — sample a routing trace (Markov router) to an ``.npz`` file.
 * ``place`` — solve an expert placement from a trace file.
-* ``simulate`` — run the three-way serving comparison and print the table.
+* ``simulate`` — run the three-way serving comparison and print the table
+  (a thin wrapper that builds a batch Scenario).
 * ``serve`` — request-level serving with continuous batching and tail-latency
   metrics (a thin wrapper that builds a serving/online Scenario).
 * ``fleet`` — multi-replica serving behind a request router (a thin wrapper
@@ -50,7 +51,7 @@ from repro.core.affinity import affinity_matrix, scaled_affinity
 from repro.core.online import ReplacementPolicy
 from repro.core.placement.base import placement_locality
 from repro.core.placement.registry import SOLVERS, solve_placement
-from repro.engine.comparison import ComparisonRow, compare_modes
+from repro.engine.comparison import ComparisonRow
 from repro.engine.workload import DRIFT_KINDS
 from repro.obs.export import openmetrics_text
 from repro.obs.recorder import TimelineRecorder
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "record the run and write a Chrome-trace JSON (open in "
-            "ui.perfetto.dev); serving and fleet scenarios only"
+            "ui.perfetto.dev); any scenario kind but batch"
         ),
     )
     p.add_argument(
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "record the run and write the per-window metric timeline JSON "
-            "(readable with `repro report`); serving and fleet scenarios only"
+            "(readable with `repro report`); any scenario kind but batch"
         ),
     )
     p.add_argument(
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# -- result printers (shared by `run` and the legacy wrappers) ----------------
+# -- result printers (every simulating command prints through _print_report) --
 
 
 def _print_batch_rows(rows: dict[str, ComparisonRow], title: str) -> None:
@@ -714,10 +715,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
     recorder = None
     if args.trace or args.metrics:
-        if scenario.kind not in ("serving", "fleet"):
+        if scenario.kind == "batch":
             print(
-                f"error: --trace/--metrics record serving and fleet scenarios, "
-                f"not kind {scenario.kind!r}",
+                "error: --trace/--metrics record serving, online and fleet "
+                "scenarios, not batch comparisons",
                 file=sys.stderr,
             )
             return 2
@@ -976,25 +977,21 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = paper_model(args.model)
-    cluster = ClusterConfig(num_nodes=args.nodes, gpus_per_node=args.gpus_per_node)
-    infer = InferenceConfig(
-        requests_per_gpu=args.requests_per_gpu,
-        prompt_len=args.prompt_len,
-        generate_len=args.generate_len,
-    )
-    rows = compare_modes(
-        model,
-        cluster,
-        infer,
-        placement_strategy=args.strategy,
+    """Thin wrapper: build a batch Scenario, run it, print tables."""
+    scenario = Scenario(
+        name="cli-simulate",
+        model=paper_model(args.model),
+        cluster=ClusterConfig(num_nodes=args.nodes, gpus_per_node=args.gpus_per_node),
         affinity=args.affinity,
+        placement_strategy=args.strategy,
         seed=args.seed,
+        batch=InferenceConfig(
+            requests_per_gpu=args.requests_per_gpu,
+            prompt_len=args.prompt_len,
+            generate_len=args.generate_len,
+        ),
     )
-    _print_batch_rows(
-        rows,
-        title=f"{model.name} on {cluster.num_nodes}x{cluster.gpus_per_node} GPUs",
-    )
+    _print_report(scenario, run_scenario(scenario))
     return 0
 
 
@@ -1015,9 +1012,6 @@ def _serving_config_from_args(args: argparse.Namespace) -> ServingConfig:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Thin wrapper: build a serving/online Scenario, run it, print tables."""
-    model = paper_model(args.model)
-    cluster = ClusterConfig(num_nodes=args.nodes, gpus_per_node=args.gpus_per_node)
-    serving = _serving_config_from_args(args)
     policy = None
     if args.replace or args.replace_every > 0:
         policy = ReplacementPolicy(
@@ -1027,35 +1021,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     online_mode = args.drift != "none" or policy is not None
     scenario = Scenario(
         name=f"cli-serve-{args.arrival}",
-        model=model,
-        cluster=cluster,
+        model=paper_model(args.model),
+        cluster=ClusterConfig(num_nodes=args.nodes, gpus_per_node=args.gpus_per_node),
         mode=ExecutionMode(args.mode),
         placement_strategy=args.strategy,
-        serving=serving,
+        serving=_serving_config_from_args(args),
         drift=DriftSpec(args.drift) if online_mode else None,
         replacement=(
             ReplacementSpec(policy, halflife_tokens=args.halflife) if policy else None
         ),
     )
-    report = run_scenario(scenario)
-    title = (
-        f"{model.name} serving on {cluster.num_nodes}x"
-        f"{cluster.gpus_per_node} GPUs — {args.rate:g} req/s, "
-        f"{args.mode} engine"
-    )
-    if report.kind == "online":
-        _print_serving_result(report.raw.serving, args.arrival, title)
-        _print_online_events(report.raw, args.drift, policy is not None)
-    else:
-        _print_serving_result(report.raw, args.arrival, title)
+    _print_report(scenario, run_scenario(scenario))
     return 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Thin wrapper: build a fleet Scenario, run it, print tables."""
-    model = paper_model(args.model)
-    cluster = ClusterConfig(num_nodes=args.nodes, gpus_per_node=args.gpus_per_node)
-    serving = _serving_config_from_args(args)
     fleet = FleetConfig(
         num_replicas=args.replicas,
         router=args.router,
@@ -1087,28 +1068,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     scenario = Scenario(
         name=f"cli-fleet-{args.router}",
-        model=model,
-        cluster=cluster,
+        model=paper_model(args.model),
+        cluster=ClusterConfig(num_nodes=args.nodes, gpus_per_node=args.gpus_per_node),
         mode=ExecutionMode(args.mode),
         placement_strategy=args.strategy,
-        serving=serving,
+        serving=_serving_config_from_args(args),
         fleet=fleet,
         telemetry=(
             TelemetrySpec(slo=SloSpec(p95_ms=args.slo_ms)) if args.slo else None
         ),
     )
-    report = run_scenario(scenario)
-    _print_fleet_result(
-        report.raw,
-        args.router,
-        title=(
-            f"{model.name} fleet — {args.replicas} replica(s) of "
-            f"{cluster.num_nodes}x{cluster.gpus_per_node} GPUs, "
-            f"{args.rate:g} req/s offered"
-        ),
-    )
-    if args.slo:
-        _print_slo_summary(report.slo, report.alerts, report.detection)
+    _print_report(scenario, run_scenario(scenario))
     return 0
 
 

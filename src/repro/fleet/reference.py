@@ -32,7 +32,10 @@ estimate feels the slowdown.  Recovery (when enabled) orders a
 replacement replica through the same priced cold-start boot path the
 autoscaler uses.  ``tests/test_fleet_equivalence.py`` holds the tick
 engine to this loop's exact :class:`~repro.fleet.result.FleetResult`,
-field for field.
+field for field.  An attached
+:class:`~repro.obs.recorder.MetricsRecorder` has its ``on_*`` hooks called
+directly at each lifecycle event; the tick engine fires the identical
+stream, so the two engines' recorded timelines are equal too.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ from repro.fleet.requests import (
     ShedRecord,
 )
 from repro.fleet.result import (
-    FleetObs,
     FleetResult,
     finalize_fleet_result,
+    fleet_run_meta,
     sample_paths_grouped,
     validate_fleet_inputs,
 )
@@ -120,9 +123,9 @@ def simulate_fleet_reference(
     uses ``replace_policy`` and a streaming estimator with
     ``replace_halflife_tokens`` (defaults when ``None``).
 
-    ``recorder`` attaches observation-only telemetry (hooks driven through
-    the shared :class:`~repro.fleet.result.FleetObs` adapter, so the tick
-    engine reports the identical stream); ``profiler`` accumulates the
+    ``recorder`` attaches observation-only telemetry (its ``on_*`` hooks
+    are called directly, with the same arguments at the same simulated
+    times as the tick engine calls them); ``profiler`` accumulates the
     wall-time phase split (routing / admission / pricing / bookkeeping).
     Neither perturbs the simulation.
     """
@@ -146,7 +149,6 @@ def simulate_fleet_reference(
     if not reqs:
         return FleetResult((), (), empty_stats, empty_stats, 0.0, (), (), {})
 
-    obs = FleetObs(recorder) if recorder is not None else None
     replicas: list[Replica] = []
 
     def new_replica(
@@ -180,8 +182,8 @@ def simulate_fleet_reference(
             billed_from_s=billed_from,
         )
         replicas.append(r)
-        if obs is not None:
-            obs.replica_start(
+        if recorder is not None:
+            recorder.on_replica_start(
                 billed_from if billed_from is not None else booted_at,
                 r.replica_id,
                 regime,
@@ -192,8 +194,8 @@ def simulate_fleet_reference(
         return r
 
     first_arrival = reqs[0].arrival_s
-    if obs is not None:
-        obs.run_start(first_arrival, cluster)
+    if recorder is not None:
+        recorder.on_run_start(first_arrival, fleet_run_meta(cluster))
     for i in range(fleet.num_replicas):
         new_replica(i % len(regimes), ReplicaState.RUNNING, first_arrival)
 
@@ -247,8 +249,8 @@ def simulate_fleet_reference(
         if r.state is ReplicaState.DRAINING and r.drained:
             r.transition_to(ReplicaState.STOPPED)
             r.stopped_at_s = t
-            if obs is not None:
-                obs.stop(t, r.replica_id)
+            if recorder is not None:
+                recorder.on_stop(t, r.replica_id)
 
     def start_step(r: Replica, t: float) -> None:
         """Admit at the boundary and launch one decode step (or go idle)."""
@@ -270,8 +272,8 @@ def simulate_fleet_reference(
             )
             if profiler is not None:
                 profiler.add("pricing", perf_counter() - _pt)
-            if obs is not None:
-                obs.admit(t, r.replica_id, [e.request.req_id for e in newly], adm)
+            if recorder is not None:
+                recorder.on_admit(t, r.replica_id, [e.request.req_id for e in newly], adm)
             if adm > 0:
                 t += adm
                 r.note_admission(adm)
@@ -311,8 +313,8 @@ def simulate_fleet_reference(
             # rather than queueing on a replica that may never come up
             shed.append(ShedRecord(q, t, "no-capacity", None))
             done += 1
-            if obs is not None:
-                obs.shed(t, q.req_id, None, "no-capacity")
+            if recorder is not None:
+                recorder.on_shed(t, q.req_id, None, "no-capacity")
             return
         _pt = perf_counter() if profiler is not None else 0.0
         r = router.choose(q, cands, rng)
@@ -325,12 +327,12 @@ def simulate_fleet_reference(
         if reason is not None:
             shed.append(ShedRecord(q, t, reason, r.replica_id))
             done += 1
-            if obs is not None:
-                obs.shed(t, q.req_id, r.replica_id, reason)
+            if recorder is not None:
+                recorder.on_shed(t, q.req_id, r.replica_id, reason)
             return
         r.enqueue(q)
-        if obs is not None:
-            obs.enqueue(t, r.replica_id, q.req_id)
+        if recorder is not None:
+            recorder.on_enqueue(t, r.replica_id, q.req_id)
         if not r.stepping:
             start_step(r, t)
 
@@ -338,8 +340,8 @@ def simulate_fleet_reference(
         nonlocal done
         batch = len(r.active)
         r.note_step(dt, batch)
-        if obs is not None:
-            obs.step_end(t, r.replica_id, dt, batch)
+        if recorder is not None:
+            recorder.on_step_end(t, r.replica_id, dt, batch)
         still: list[ActiveEntry] = []
         for e in r.active:
             e.tokens_remaining -= 1
@@ -350,8 +352,8 @@ def simulate_fleet_reference(
                 )
                 r.served += 1
                 done += 1
-                if obs is not None:
-                    obs.complete(
+                if recorder is not None:
+                    recorder.on_complete(
                         t,
                         r.replica_id,
                         e.request.req_id,
@@ -388,8 +390,8 @@ def simulate_fleet_reference(
         orphans = victim.take_queued()
         if not orphans:
             return
-        if obs is not None:
-            obs.requeue(t, victim.replica_id, len(orphans))
+        if recorder is not None:
+            recorder.on_requeue(t, victim.replica_id, len(orphans))
         for q in orphans:
             # victim is already DRAINING, hence excluded from routable()
             targets = [
@@ -397,13 +399,13 @@ def simulate_fleet_reference(
             ]
             if not targets:
                 victim.enqueue(q)  # nowhere with room: drain it in place
-                if obs is not None:
-                    obs.enqueue(t, victim.replica_id, q.req_id)
+                if recorder is not None:
+                    recorder.on_enqueue(t, victim.replica_id, q.req_id)
                 continue
             target = router.choose(q, targets, rng)
             target.enqueue(q)
-            if obs is not None:
-                obs.enqueue(t, target.replica_id, q.req_id)
+            if recorder is not None:
+                recorder.on_enqueue(t, target.replica_id, q.req_id)
             if not target.stepping:
                 start_step(target, t)
 
@@ -417,13 +419,13 @@ def simulate_fleet_reference(
             delay = retry_pol.backoff_s(n)
             retries += 1
             push(t + delay, "retry", q)
-            if obs is not None:
-                obs.retry(t, q.req_id, rid, n, delay, was_active)
+            if recorder is not None:
+                recorder.on_retry(t, q.req_id, rid, n, delay, was_active)
         else:
             lost.append(LostRecord(q, t, rid, n, reason))
             done += 1
-            if obs is not None:
-                obs.lost(t, q.req_id, rid, n, reason, was_active)
+            if recorder is not None:
+                recorder.on_lost(t, q.req_id, rid, n, reason, was_active)
 
     def kill_replica(r: Replica, t: float, kind: str, failure_idx: int) -> None:
         """Hard-stop ``r`` now: in-flight batch and queue are destroyed.
@@ -442,8 +444,8 @@ def simulate_fleet_reference(
         r.stopped_at_s = t
         r.stepping = False
         r.epoch += 1
-        if obs is not None:
-            obs.fail(t, r.replica_id, kind, len(doomed_active), len(doomed_queued))
+        if recorder is not None:
+            recorder.on_fail(t, r.replica_id, kind, len(doomed_active), len(doomed_queued))
         for q in doomed_active:
             fail_attempt(q, t, r.replica_id, kind, was_active=True)
         for q in doomed_queued:
@@ -492,8 +494,8 @@ def simulate_fleet_reference(
             return
         idx = open_failure(t, p.replica, "preempt")
         r.transition_to(ReplicaState.DRAINING)
-        if obs is not None:
-            obs.preempt(t, p.replica, p.grace_s)
+        if recorder is not None:
+            recorder.on_preempt(t, p.replica, p.grace_s)
         if fleet.migrate_on_drain:
             migrate_queued(r, t)
         finish_if_drained(r, t)
@@ -544,14 +546,14 @@ def simulate_fleet_reference(
                 ScaleEvent(t, "up", per, len(live) + len(booting),
                            len(live) + len(booting) + 1, cold.total_s)
             )
-            if obs is not None:
-                obs.scale(t, "up", per, len(live) + len(booting),
-                          len(live) + len(booting) + 1, cold.total_s)
+            if recorder is not None:
+                recorder.on_scale(t, "up", per, len(live) + len(booting),
+                                  len(live) + len(booting) + 1, cold.total_s)
         elif decision == "down":
             victim = min(live, key=lambda r: (r.load, r.replica_id))
             victim.transition_to(ReplicaState.DRAINING)
-            if obs is not None:
-                obs.drain(t, victim.replica_id)
+            if recorder is not None:
+                recorder.on_drain(t, victim.replica_id)
             if fleet.migrate_on_drain:
                 migrate_queued(victim, t)
             finish_if_drained(victim, t)
@@ -559,9 +561,9 @@ def simulate_fleet_reference(
                 ScaleEvent(t, "down", per, len(live) + len(booting),
                            len(live) + len(booting) - 1, 0.0)
             )
-            if obs is not None:
-                obs.scale(t, "down", per, len(live) + len(booting),
-                          len(live) + len(booting) - 1, 0.0)
+            if recorder is not None:
+                recorder.on_scale(t, "down", per, len(live) + len(booting),
+                                  len(live) + len(booting) - 1, 0.0)
         if done < total:
             push(t + fleet.autoscale_check_every_s, "scale", None)
 
@@ -580,14 +582,14 @@ def simulate_fleet_reference(
             r = cast(Replica, data)
             r.transition_to(ReplicaState.RUNNING)
             peak_routable = max(peak_routable, len(routable()))
-            if obs is not None:
-                obs.boot_ready(t, r.replica_id)
+            if recorder is not None:
+                recorder.on_boot_ready(t, r.replica_id)
             rec_info = recovery_for.pop(r.replica_id, None)
             if rec_info is not None:
                 idx, cold_s = rec_info
                 fail_rec[idx] = t
-                if obs is not None:
-                    obs.recover(t, r.replica_id, fail_rid[idx], cold_s)
+                if recorder is not None:
+                    recorder.on_recover(t, r.replica_id, fail_rid[idx], cold_s)
         elif kind == "scale" and autoscaler is not None and done < total:
             on_scale(t)
         elif kind == "crash":
@@ -620,7 +622,7 @@ def simulate_fleet_reference(
         admission,
         peak_routable,
         cluster,
-        obs=obs,
+        recorder=recorder,
         failures=failures,
         lost=lost,
         retries=retries,

@@ -2,11 +2,13 @@
 
 Six pieces, all optional and all zero-cost when absent:
 
-* :mod:`repro.obs.recorder` — the :class:`MetricsRecorder` hook protocol,
-  the no-op :class:`NullRecorder`, :class:`TimelineRecorder`, which turns
-  the engines' event hooks into per-window metric time-series and
-  request/replica lifecycle spans, and :class:`TeeRecorder`, which fans
-  one hook stream out to several recorders.
+* :mod:`repro.obs.recorder` — :class:`MetricsRecorder`, the base class
+  that defines each of the 18 engine hooks once as a no-op (also exported
+  as :data:`NullRecorder`), :class:`TimelineRecorder`, which turns the
+  hooks into per-window metric time-series and request/replica lifecycle
+  spans, and :class:`TeeRecorder`, which fans one hook stream out to
+  several recorders.  Every serving loop (single-replica serving and
+  online runs, both fleet engines) calls the hooks directly.
 * :mod:`repro.obs.slo` — :class:`SloSpec` service objectives and the
   multi-window burn-rate evaluator that folds a timeline into typed
   :class:`AlertSpan`\\ s.

@@ -1,19 +1,22 @@
-"""Metric recorders: the engine hook protocol and the timeline sampler.
+"""Metric recorders: the engine hook surface and the timeline sampler.
 
-The simulators expose a small set of lifecycle hooks (arrival shed,
-enqueue, admit, step end, completion, replica boot/drain/stop, autoscale
-decisions).  A :class:`MetricsRecorder` receives those hooks; the engines
-only ever *call* it — recording is observation-only by contract, so a
-recorder must never draw rng samples or alter float evaluation order
-(see ``DESIGN.md`` "Observability").  Both fleet engines drive their
-hooks through the shared :class:`repro.fleet.result.FleetObs` adapter,
-which is what makes the recorded streams — and therefore the timelines —
-bit-identical between the event-heap oracle and the vectorized tick
-engine.
+The simulators expose 18 lifecycle hooks (run start/end, replica
+start/boot/drain/stop, enqueue/requeue/shed/admit, step end, completion,
+autoscale decisions and the chaos channel: preempt/fail/retry/lost/
+recover).  :class:`MetricsRecorder` defines each hook once, as a
+documented no-op; recorders subclass it and override what they need.
+Every serving loop — the single-replica ``continuous_batching`` loop, the
+event-heap fleet oracle and the vectorized tick engine — calls
+``recorder.on_*`` directly.  The engines only ever *call* a recorder:
+recording is observation-only by contract, so a recorder must never draw
+rng samples or alter float evaluation order (see ``DESIGN.md``
+"Observability").  The two fleet engines fire the same hooks with the
+same arguments in the same order, so their recorded timelines are
+bit-identical.
 
-:class:`NullRecorder` is the zero-overhead default (engines skip hook
-dispatch entirely when no recorder is attached; NullRecorder exists for
-call sites that want an always-valid recorder object).
+:data:`NullRecorder` is :class:`MetricsRecorder` itself, for call sites
+that want an always-valid recorder object; engines with no recorder
+attached skip hook dispatch entirely.
 
 :class:`TimelineRecorder` folds the hook stream into:
 
@@ -32,7 +35,7 @@ call sites that want an always-valid recorder object).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 __all__ = ["MetricsRecorder", "NullRecorder", "TeeRecorder", "TimelineRecorder"]
 
@@ -42,43 +45,53 @@ __all__ = ["MetricsRecorder", "NullRecorder", "TeeRecorder", "TimelineRecorder"]
 _AUTO_WINDOW0_S = 2.0**-20
 
 
-class MetricsRecorder(Protocol):
-    """Hook surface the simulators drive.  All times are simulated seconds."""
+class MetricsRecorder:
+    """The hook surface every serving loop drives; each hook is a no-op here.
+
+    All times are simulated seconds.  Subclasses override the hooks they
+    care about and inherit the no-op for the rest, so this class is also
+    the do-nothing recorder (exported as :data:`NullRecorder`).
+    """
+
+    __slots__ = ()
 
     def on_run_start(self, t_s: float, meta: Mapping[str, float]) -> None:
         """Run begins at ``t_s`` (first arrival).  ``meta`` carries cost
         constants (``num_gpus`` per replica, ``gpu_hour_usd``) when known."""
-        ...
 
     def on_replica_start(
         self, t_s: float, rid: int, regime: int, booting: bool, ready_s: float, billed_from_s: float
     ) -> None:
         """Replica ``rid`` exists from ``t_s``; routable at ``ready_s``."""
-        ...
 
-    def on_boot_ready(self, t_s: float, rid: int) -> None: ...
+    def on_boot_ready(self, t_s: float, rid: int) -> None:
+        """Booting replica ``rid`` became routable."""
 
-    def on_drain(self, t_s: float, rid: int) -> None: ...
+    def on_drain(self, t_s: float, rid: int) -> None:
+        """Replica ``rid`` stopped taking new work (scale-down)."""
 
-    def on_stop(self, t_s: float, rid: int) -> None: ...
+    def on_stop(self, t_s: float, rid: int) -> None:
+        """Replica ``rid`` stopped; billing ends here."""
 
-    def on_enqueue(self, t_s: float, rid: int, req_id: int) -> None: ...
+    def on_enqueue(self, t_s: float, rid: int, req_id: int) -> None:
+        """``req_id`` joined replica ``rid``'s wait queue."""
 
     def on_requeue(self, t_s: float, rid: int, count: int) -> None:
         """``count`` queued requests left replica ``rid`` (migration)."""
-        ...
 
-    def on_shed(self, t_s: float, req_id: int, rid: int | None, reason: str) -> None: ...
+    def on_shed(self, t_s: float, req_id: int, rid: int | None, reason: str) -> None:
+        """``req_id`` was refused (``rid`` is ``None`` when no replica was routable)."""
 
-    def on_admit(
-        self, t_s: float, rid: int, req_ids: Sequence[int], admission_s: float
-    ) -> None: ...
+    def on_admit(self, t_s: float, rid: int, req_ids: Sequence[int], admission_s: float) -> None:
+        """``req_ids`` joined ``rid``'s decode batch, paying ``admission_s``."""
 
-    def on_step_end(self, t_s: float, rid: int, step_s: float, batch: int) -> None: ...
+    def on_step_end(self, t_s: float, rid: int, step_s: float, batch: int) -> None:
+        """Replica ``rid`` finished a ``step_s``-long decode step over ``batch`` requests."""
 
     def on_complete(
         self, t_s: float, rid: int, req_id: int, arrival_s: float, admitted_s: float, tokens: int
-    ) -> None: ...
+    ) -> None:
+        """``req_id`` finished on ``rid`` after generating ``tokens`` tokens."""
 
     def on_scale(
         self,
@@ -88,114 +101,37 @@ class MetricsRecorder(Protocol):
         replicas_before: int,
         replicas_after: int,
         cold_start_s: float,
-    ) -> None: ...
+    ) -> None:
+        """The autoscaler acted (``direction`` is ``"up"`` or ``"down"``)."""
 
     def on_preempt(self, t_s: float, rid: int, grace_s: float) -> None:
         """Replica ``rid`` received a preemption notice; drains for ``grace_s``."""
-        ...
 
     def on_fail(
         self, t_s: float, rid: int, kind: str, lost_active: int, lost_queued: int
     ) -> None:
         """Replica ``rid`` failed hard (``kind``: crash/preempt), losing work."""
-        ...
 
     def on_retry(
         self, t_s: float, req_id: int, rid: int, attempt: int, delay_s: float, was_active: bool
     ) -> None:
         """Attempt ``attempt`` of ``req_id`` died on ``rid``; re-enters routing
         after ``delay_s``.  ``was_active``: decoding (vs still queued)."""
-        ...
 
     def on_lost(
         self, t_s: float, req_id: int, rid: int, attempts: int, reason: str, was_active: bool
     ) -> None:
         """``req_id`` exhausted its retry budget and is terminally lost."""
-        ...
 
     def on_recover(self, t_s: float, rid: int, for_rid: int, cold_start_s: float) -> None:
         """Replacement replica ``rid`` went routable, recovering failed ``for_rid``."""
-        ...
-
-    def on_run_end(self, t_s: float) -> None: ...
-
-
-class NullRecorder:
-    """A recorder that records nothing; every hook returns immediately."""
-
-    __slots__ = ()
-
-    def on_run_start(self, t_s: float, meta: Mapping[str, float]) -> None:
-        pass
-
-    def on_replica_start(
-        self, t_s: float, rid: int, regime: int, booting: bool, ready_s: float, billed_from_s: float
-    ) -> None:
-        pass
-
-    def on_boot_ready(self, t_s: float, rid: int) -> None:
-        pass
-
-    def on_drain(self, t_s: float, rid: int) -> None:
-        pass
-
-    def on_stop(self, t_s: float, rid: int) -> None:
-        pass
-
-    def on_enqueue(self, t_s: float, rid: int, req_id: int) -> None:
-        pass
-
-    def on_requeue(self, t_s: float, rid: int, count: int) -> None:
-        pass
-
-    def on_shed(self, t_s: float, req_id: int, rid: int | None, reason: str) -> None:
-        pass
-
-    def on_admit(self, t_s: float, rid: int, req_ids: Sequence[int], admission_s: float) -> None:
-        pass
-
-    def on_step_end(self, t_s: float, rid: int, step_s: float, batch: int) -> None:
-        pass
-
-    def on_complete(
-        self, t_s: float, rid: int, req_id: int, arrival_s: float, admitted_s: float, tokens: int
-    ) -> None:
-        pass
-
-    def on_scale(
-        self,
-        t_s: float,
-        direction: str,
-        queue_per_replica: float,
-        replicas_before: int,
-        replicas_after: int,
-        cold_start_s: float,
-    ) -> None:
-        pass
-
-    def on_preempt(self, t_s: float, rid: int, grace_s: float) -> None:
-        pass
-
-    def on_fail(
-        self, t_s: float, rid: int, kind: str, lost_active: int, lost_queued: int
-    ) -> None:
-        pass
-
-    def on_retry(
-        self, t_s: float, req_id: int, rid: int, attempt: int, delay_s: float, was_active: bool
-    ) -> None:
-        pass
-
-    def on_lost(
-        self, t_s: float, req_id: int, rid: int, attempts: int, reason: str, was_active: bool
-    ) -> None:
-        pass
-
-    def on_recover(self, t_s: float, rid: int, for_rid: int, cold_start_s: float) -> None:
-        pass
 
     def on_run_end(self, t_s: float) -> None:
-        pass
+        """The run ended at ``t_s``; no hook follows."""
+
+
+#: The recorder that records nothing: the base class itself.
+NullRecorder = MetricsRecorder
 
 
 class _ReplicaTrack:
@@ -235,7 +171,7 @@ class _ReplicaTrack:
         self.tokens = 0
 
 
-class TimelineRecorder:
+class TimelineRecorder(MetricsRecorder):
     """Folds the hook stream into per-window time-series and span logs.
 
     Single-use: attach one instance per simulation run.  ``window_s``
@@ -794,13 +730,15 @@ class TimelineRecorder:
         )
 
 
-class TeeRecorder:
+class TeeRecorder(MetricsRecorder):
     """Fans every hook out to several recorders, in order.
 
     The engines take exactly one recorder slot; a tee is how a timeline
     sampler and an online detector watch the same run.  Like every
     recorder it is observation-only — it adds no hooks, reorders nothing,
-    and each child sees the identical stream the engines emitted.
+    and each child sees the identical stream the engines emitted.  It must
+    forward every hook: one it missed would fall back to the base no-op
+    and silently starve the children (``tests/test_obs.py`` checks all).
     """
 
     __slots__ = ("recorders",)

@@ -234,7 +234,7 @@ def _run_single_replica(
         recorder=recorder,
     )
     raw: object = res
-    account: dict[str, Any]
+    account: dict[str, Any] = {}
     if isinstance(pricer, DriftPricer):
         online = pricer.result(res)
         timeline = online.kept_timeline
@@ -245,8 +245,6 @@ def _run_single_replica(
             "num_replacements": online.num_replacements,
             "migration_stall_s": online.migration_stall_s,
         }
-    else:
-        account = {"latency_hist": res.latency.histogram_dict()}
     return SimReport(
         scenario=s.name,
         kind=s.kind,
@@ -262,6 +260,7 @@ def _run_single_replica(
         latency_p95_s=res.latency.p95_s,
         latency_p99_s=res.latency.p99_s,
         queue_p95_s=res.queue.p95_s,
+        latency_hist=res.latency.histogram_dict(),
         **account,
         **_cost_fields(s, res.makespan_s, res.generated_tokens),
         raw=raw,
@@ -454,8 +453,9 @@ def run(
     to keep the recorder for Chrome-trace export).  When the recorder is
     a ``TimelineRecorder``, its timeline document lands on
     ``report.timeline``; profiler phase seconds/fractions land in
-    ``report.extra`` under ``profile_*`` keys.  Recorders attach to
-    serving and fleet scenarios, profilers to fleet scenarios only.
+    ``report.extra`` under ``profile_*`` keys.  Recorders attach to every
+    kind but ``batch`` (the lockstep engine has no serving loop to
+    observe), profilers to fleet scenarios only.
 
     SLO monitoring: when ``telemetry.slo`` is set, a
     :class:`~repro.obs.detect.SignalDetector` rides the same hook stream
@@ -478,9 +478,10 @@ def run(
         recorder = make_recorder(s)
     if profiler is None and tele is not None and tele.profile:
         profiler = PhaseProfiler()
-    if recorder is not None and s.kind not in ("serving", "fleet"):
+    if recorder is not None and s.kind == "batch":
         raise ValueError(
-            f"recorders attach to serving and fleet scenarios, not kind {s.kind!r}"
+            "recorders attach to serving and fleet scenarios (online included), "
+            "not kind 'batch'"
         )
     if profiler is not None and s.kind != "fleet":
         raise ValueError(

@@ -264,10 +264,11 @@ class Scenario:
         Offline profiling trace length for affinity placements in the
         online and fleet paths.
     telemetry:
-        Optional observability attachment (serving and fleet kinds): a
+        Optional observability attachment (every kind but ``batch``): a
         :class:`TelemetrySpec` makes ``run`` record a per-window metric
-        timeline (``SimReport.timeline``), span traces, and — with
-        ``profile=True`` — the simulator's own phase breakdown.
+        timeline (``SimReport.timeline``) and span traces.  Fleet kinds
+        may also ask for the simulator's own phase breakdown
+        (``profile=True``) and SLO monitoring (``slo``).
     """
 
     name: str
@@ -358,9 +359,10 @@ class Scenario:
                 "a fleet scenario with a replacement section needs fleet.replace=True"
             )
         if self.telemetry is not None:
-            if self.kind not in ("serving", "fleet"):
+            if self.kind == "batch":
                 raise ValueError(
-                    "telemetry sections apply to serving and fleet scenarios only"
+                    "telemetry sections apply to serving and fleet scenarios "
+                    "(online included), not batch comparisons"
                 )
             if self.telemetry.profile and self.fleet is None:
                 raise ValueError(

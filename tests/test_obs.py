@@ -11,6 +11,7 @@ fractions always sum to one.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from repro.config import ClusterConfig, FleetConfig, ServingConfig, paper_model
 from repro.engine.metrics import LATENCY_HIST_EDGES_S, LatencyStats
 from repro.obs.profile import MEASURED_PHASES, PROFILE_PHASES, PhaseProfiler
-from repro.obs.recorder import NullRecorder, TimelineRecorder
+from repro.obs.recorder import MetricsRecorder, NullRecorder, TeeRecorder, TimelineRecorder
 from repro.obs.trace import validate_chrome_trace
 from repro.scenarios import Scenario, SimReport, TelemetrySpec, run
 
@@ -64,6 +65,37 @@ class TestNullRecorder:
         rec.on_drain(3.0, 0)
         rec.on_stop(3.5, 0)
         rec.on_run_end(4.0)
+
+
+HOOKS = [name for name in vars(MetricsRecorder) if name.startswith("on_")]
+
+
+def _logging_recorder(label, log):
+    """A recorder that appends ``(hook, label, args)`` to ``log`` for every hook."""
+
+    def hook(name):
+        def record(self, *args):
+            log.append((name, label, args))
+
+        return record
+
+    return type("LoggingRecorder", (MetricsRecorder,), {h: hook(h) for h in HOOKS})()
+
+
+class TestTeeRecorder:
+    def test_forwards_every_hook_once_per_child_in_order(self):
+        assert len(HOOKS) == 18
+        log: list = []
+        tee = TeeRecorder((_logging_recorder("a", log), _logging_recorder("b", log)))
+        expected = []
+        for i, name in enumerate(HOOKS):
+            # distinct positional args per hook, one per hook parameter
+            n_args = len(inspect.signature(getattr(MetricsRecorder, name)).parameters) - 1
+            args = tuple(range(i, i + n_args))
+            getattr(tee, name)(*args)
+            expected += [(name, "a", args), (name, "b", args)]
+        # a hook the tee does not forward hits the base no-op and logs nothing
+        assert log == expected
 
 
 class TestTimelineRecorder:
@@ -417,6 +449,24 @@ class TestRunFacadeTelemetry:
         )
         with pytest.raises(ValueError, match="serving and fleet"):
             run(s, recorder=TimelineRecorder())
+
+    @pytest.mark.parametrize(
+        "name", ["fig15-abrupt-smoke", "fig15-gradual-smoke", "fig15-diurnal-smoke"]
+    )
+    def test_online_preset_records_like_bare_run(self, name):
+        rec = TimelineRecorder()
+        report = run(name, recorder=rec)
+        bare = run(name)
+        assert report.kind == "online"
+        assert dataclasses.replace(report, timeline=None) == bare
+        got, want = report.raw, bare.raw
+        assert got.serving.busy_s == want.serving.busy_s
+        assert got.kept_timeline == want.kept_timeline
+        assert got.events == want.events
+        assert (got.final_placement.gpu_of == want.final_placement.gpu_of).all()
+        assert validate_chrome_trace(rec.to_chrome_trace()) > 0
+        assert report.timeline["totals"]["completed"] == report.completed
+        assert sum(report.latency_hist.values()) == report.completed
 
     def test_profiler_rejected_without_fleet(self):
         with pytest.raises(ValueError, match="fleet"):
