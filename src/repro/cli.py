@@ -37,7 +37,6 @@ from repro.analysis.heatmap import ascii_heatmap
 from repro.analysis.report import format_table
 from repro.chaos import bad_day_schedule
 from repro.config import (
-    FLEET_ENGINES,
     PAPER_MODELS,
     ROUTER_KINDS,
     ClusterConfig,
@@ -292,15 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replace",
         action="store_true",
         help="run each replica's online re-placement loop",
-    )
-    p.add_argument(
-        "--engine",
-        default="event",
-        choices=FLEET_ENGINES,
-        help=(
-            "fleet simulation engine: the event-heap oracle or the "
-            "vectorized tick engine (identical results, built for scale)"
-        ),
     )
     p.add_argument(
         "--chaos",
@@ -679,10 +669,11 @@ def _print_report(scenario: Scenario, report: SimReport) -> None:
         _print_fleet_result(report.raw, scenario.fleet.router, base_title)
     if report.slo:
         _print_slo_summary(report.slo, report.alerts, report.detection)
+    # batch comparisons run one lockstep batch: no per-request latency
+    p95 = "" if report.kind == "batch" else f"p95 {report.latency_p95_s * 1e3:.2f} ms, "
     print(
         f"summary: {report.completed} served, {report.generated_tokens} tokens, "
-        f"p95 {report.latency_p95_s * 1e3:.2f} ms, "
-        f"{report.throughput_tokens_per_s:.0f} tokens/s, "
+        f"{p95}{report.throughput_tokens_per_s:.0f} tokens/s, "
         f"{report.gpu_hours:.4f} GPU-h (${report.cost_usd:.4f}, "
         f"${report.usd_per_million_tokens:.2f}/1M tokens)"
     )
@@ -1054,7 +1045,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             args.max_replicas if args.autoscale else max(args.max_replicas, args.replicas)
         ),
         replace=args.replace,
-        engine=args.engine,
         chaos=(
             bad_day_schedule(
                 num_replicas=args.replicas,

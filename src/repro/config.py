@@ -21,9 +21,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.chaos.spec import ChaosSpec
+
+if TYPE_CHECKING:
+    from _typeshed import DataclassInstance
 
 __all__ = [
     "GatingKind",
@@ -35,7 +38,6 @@ __all__ = [
     "ServingConfig",
     "FleetConfig",
     "ROUTER_KINDS",
-    "FLEET_ENGINES",
     "paper_model",
     "wilkes3",
     "PAPER_MODELS",
@@ -308,6 +310,19 @@ class InferenceConfig:
         return self.prompt_len + self.generate_len
 
 
+def _require_finite(cfg: DataclassInstance) -> None:
+    """Reject NaN and ±inf in every float field.
+
+    Range checks alone let NaN through (every comparison with it is
+    false), and a non-finite rate or deadline only fails deep inside a
+    run, if at all.
+    """
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ServingConfig:
     """A request-level serving scenario for the continuous-batching layer.
@@ -347,6 +362,7 @@ class ServingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.arrival not in ("poisson", "bursty"):
             raise ValueError(
                 f"arrival must be 'poisson' or 'bursty', got {self.arrival!r}"
@@ -385,11 +401,6 @@ class ServingConfig:
 # FleetConfig can validate without importing repro.fleet (config sits at
 # the bottom of the layering)
 ROUTER_KINDS: tuple[str, ...] = ("round-robin", "jsq", "p2c", "affinity")
-
-# fleet simulation engines: "event" is the per-event heap loop (the
-# correctness oracle), "tick" the vectorized engine that batches event
-# processing per decode tick; both produce bit-identical FleetResults
-FLEET_ENGINES: tuple[str, ...] = ("event", "tick")
 
 
 @dataclass(frozen=True)
@@ -447,11 +458,6 @@ class FleetConfig:
         (migrating KV state mid-generation is not modelled).
     replace:
         Run each replica's own PR-2 online re-placement loop.
-    engine:
-        Which simulation engine executes the fleet: ``"event"`` pops one
-        heap event at a time (the reference oracle), ``"tick"`` batches
-        event processing per decode tick with array state (identical
-        results, built for million-request fleets).
     affinity_load_weight:
         Congestion penalty subtracted from the affinity router's kept-mass
         score per unit of relative replica load (0 = pure affinity).  The
@@ -484,10 +490,10 @@ class FleetConfig:
     migrate_on_drain: bool = True
     replace: bool = False
     affinity_load_weight: float = 1.0
-    engine: str = "event"
     chaos: ChaosSpec | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.num_replicas <= 0:
             raise ValueError("num_replicas must be positive")
         if self.router not in ROUTER_KINDS:
@@ -524,10 +530,6 @@ class FleetConfig:
             raise ValueError("boot_overhead_s must be >= 0")
         if self.affinity_load_weight < 0:
             raise ValueError("affinity_load_weight must be >= 0")
-        if self.engine not in FLEET_ENGINES:
-            raise ValueError(
-                f"unknown fleet engine {self.engine!r}; choose from {FLEET_ENGINES}"
-            )
         if self.chaos is not None and not isinstance(self.chaos, ChaosSpec):
             raise TypeError("chaos must be a ChaosSpec or None")
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence, overload
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, overload
 
 import numpy as np
 
@@ -344,6 +344,7 @@ def continuous_batching(
     max_batch_requests: int = 64,
     num_gpus: int = 1,
     recorder: MetricsRecorder | None = None,
+    meta: Mapping[str, float] | None = None,
 ) -> ServingResult:
     """Serve ``requests`` with iteration-level continuous batching.
 
@@ -362,7 +363,9 @@ def continuous_batching(
     An attached ``recorder`` observes the run as a one-replica fleet
     (replica 0, regime 0, always active): enqueue at each arrival,
     admission at each step boundary, step and completion hooks as the
-    batch advances.  Recording never changes scheduling or float order.
+    batch advances; ``meta`` is its run-start meta (the cost constants
+    :func:`~repro.obs.recorder.run_meta` builds).  Recording never changes
+    scheduling or float order.
 
     ``requests`` is an :class:`Arrivals`, read as columns, or any
     iterable of :class:`Request`.  Returns the full :class:`ServingResult`:
@@ -420,7 +423,7 @@ def continuous_batching(
     if recorder is not None:
         enq_s = sorted_s.tolist()
         enq_id = ids[order].tolist()
-        recorder.on_run_start(first_arrival, {})
+        recorder.on_run_start(first_arrival, meta or {})
         recorder.on_replica_start(first_arrival, 0, 0, False, first_arrival, first_arrival)
 
     while admitted_count < n or active:

@@ -15,13 +15,14 @@ front-end on top of :mod:`repro.engine.serving`:
   predicted-latency load shedding.
 * :mod:`repro.fleet.autoscaler` — reactive queue-depth scaling with an
   explicit cold-start cost (weight load + placement shuffle).
-* :mod:`repro.fleet.reference` — the event-heap simulation loop tying it
-  all together, retained as the correctness oracle (``engine="event"``).
-* :mod:`repro.fleet.engine` — the vectorized tick engine: same events,
-  same results, array state and batched arrival windows for
-  million-request fleets (``engine="tick"``).
-* :mod:`repro.fleet.simulate` — the engine dispatch and the config-driven
-  entry point (``repro fleet`` on the CLI, fig16 in the benchmarks).
+* :mod:`repro.fleet.engine` — the vectorized tick engine every fleet run
+  executes on: array state and batched arrival windows for
+  million-request fleets.
+* :mod:`repro.fleet.reference` — the event-heap simulation loop, retained
+  as the correctness oracle the tick engine must match exactly (tests
+  and ``benchmarks/bench_fleet_scale.py`` call it).
+* :mod:`repro.fleet.simulate` — the config-driven entry point
+  (``repro fleet`` on the CLI, fig16 in the benchmarks).
 """
 
 from repro.fleet.admission import (

@@ -22,7 +22,6 @@ interactive requests overtake queued batch work at every step boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -187,25 +186,3 @@ class AdmissionController:
         codes[predicted > self.shed_slack * slo_s] = SHED_DEADLINE
         codes[queue_lens >= self.max_queue_per_replica] = SHED_QUEUE_FULL
         return codes
-
-    def assess_batch(
-        self, requests: Sequence[FleetRequest], replicas: Sequence[Replica]
-    ) -> list[str | None]:
-        """Batch :meth:`assess`: request ``i`` against its routed replica ``i``.
-
-        Equivalent to ``[self.assess(q, r, now) for q, r in zip(...)]`` on
-        a frozen replica snapshot; the array core is
-        :meth:`assess_codes`, which the tick engine calls directly.
-        """
-        if len(requests) != len(replicas):
-            raise ValueError("need exactly one routed replica per request")
-        gen = np.array([q.generate_len for q in requests], dtype=np.int64)
-        pri = np.array([q.priority for q in requests], dtype=np.int64)
-        qlen = np.array([r.queue_len for r in replicas], dtype=np.int64)
-        ests = np.array(
-            [np.nan if r.est_step_s is None else r.est_step_s for r in replicas],
-            dtype=np.float64,
-        )
-        caps = np.array([r.max_batch for r in replicas], dtype=np.int64)
-        codes = self.assess_codes(gen, self.slo_by_priority(pri), qlen, ests, caps)
-        return [SHED_REASONS[int(c)] for c in codes]

@@ -34,14 +34,11 @@ model:
   operation for operation.
 
 ``tests/test_fleet_equivalence.py`` holds this engine to the oracle's
-exact :class:`~repro.fleet.result.FleetResult`; the three object-routing
-policies (round-robin, jsq, affinity) take the fully vectorized window
-path, while p2c keeps a tight per-arrival loop (its two uniform draws per
-decision are part of the simulated semantics and cannot batch).
-
-Custom :class:`~repro.fleet.router.Router` subclasses and
-:class:`~repro.fleet.admission.AdmissionController` subclasses have no
-array form, so the tick engine rejects them — use ``engine="event"``.
+exact :class:`~repro.fleet.result.FleetResult`; the routing policy is
+``fleet.router``, and three of the four (round-robin, jsq, affinity) take
+the fully vectorized window path, while p2c keeps a tight per-arrival
+loop (its two uniform draws per decision are part of the simulated
+semantics and cannot batch).
 """
 
 from __future__ import annotations
@@ -73,24 +70,12 @@ from repro.fleet.requests import (
 from repro.fleet.result import (
     FleetResult,
     finalize_fleet_result,
-    fleet_run_meta,
     sample_paths_grouped,
     validate_fleet_inputs,
 )
-from repro.fleet.router import (
-    AffinityRouter,
-    JoinShortestQueueRouter,
-    PowerOfTwoRouter,
-    RoundRobinRouter,
-    Router,
-    affinity_select,
-    jsq_select,
-    make_router,
-    p2c_select,
-    rr_positions,
-)
+from repro.fleet.router import affinity_select, jsq_select, p2c_select, rr_positions
 from repro.obs.profile import PhaseProfiler
-from repro.obs.recorder import MetricsRecorder
+from repro.obs.recorder import MetricsRecorder, run_meta
 from repro.trace.markov import MarkovRoutingModel
 
 __all__ = ["simulate_fleet_tick"]
@@ -128,8 +113,6 @@ class _TickFleet:
         placements_by_regime: Sequence[Placement],
         fleet: FleetConfig,
         max_batch_requests: int,
-        router: Router,
-        admission: AdmissionController,
         timer: PlacementStepTimer,
         replace_policy: ReplacementPolicy | None,
         replace_halflife_tokens: float | None,
@@ -144,8 +127,7 @@ class _TickFleet:
         self.placements_by_regime = placements_by_regime
         self.fleet = fleet
         self.max_batch = max_batch_requests
-        self.router = router
-        self.admission = admission
+        self.admission = admission = AdmissionController.from_config(fleet)
         self.timer = timer
         self.replace_policy = replace_policy
         self.replace_halflife = replace_halflife_tokens
@@ -156,24 +138,8 @@ class _TickFleet:
         self.L = model.num_moe_layers
         self.num_lanes = len(admission.classes)
 
-        if isinstance(router, RoundRobinRouter):
-            self.policy = "round-robin"
-        elif isinstance(router, JoinShortestQueueRouter):
-            self.policy = "jsq"
-        elif isinstance(router, PowerOfTwoRouter):
-            self.policy = "p2c"
-        else:
-            self.policy = "affinity"
-        if isinstance(router, AffinityRouter):
-            self.aff_regimes: tuple[MarkovRoutingModel, ...] = router.regimes
-            self.load_weight = router.load_weight
-            if len(self.aff_regimes) < len(regimes):
-                raise ValueError(
-                    "affinity router models fewer regimes than the fleet serves"
-                )
-        else:
-            self.aff_regimes = ()
-            self.load_weight = 0.0
+        self.policy = fleet.router
+        self.rr_next = 0  # round-robin cursor over the routable ids
         # kept-mass rows per placement object (identity-keyed; storing the
         # placement keeps it alive so ids cannot be recycled)
         self._kept_cache: dict[int, tuple[Placement, np.ndarray]] = {}
@@ -237,7 +203,7 @@ class _TickFleet:
         self.recorder = recorder
         self.profiler = profiler
         if recorder is not None:
-            recorder.on_run_start(self.first_arrival, fleet_run_meta(cluster))
+            recorder.on_run_start(self.first_arrival, run_meta(cluster))
 
         # -- outcome ledgers ---------------------------------------------------
         self.comp_i: list[int] = []
@@ -393,12 +359,12 @@ class _TickFleet:
         return rid
 
     def _kept_row(self, placement: Placement) -> np.ndarray:
-        """Kept-mass of one placement under every affinity-router regime."""
+        """Kept-mass of one placement under every regime."""
         hit = self._kept_cache.get(id(placement))
         if hit is not None and hit[0] is placement:
             return hit[1]
         row = np.array(
-            [model_kept_mass(placement, m) for m in self.aff_regimes],
+            [model_kept_mass(placement, m) for m in self.regimes],
             dtype=np.float64,
         )
         self._kept_cache[id(placement)] = (placement, row)
@@ -411,16 +377,14 @@ class _TickFleet:
             dtype=np.float64,
         )
         loads = self.load[cands]
-        scores = kept - (self.load_weight * loads) / self.max_batch
+        scores = kept - (self.fleet.affinity_load_weight * loads) / self.max_batch
         return int(cands[affinity_select(scores, loads, cands)])
 
     def _choose_one(self, req_idx: int, cands: np.ndarray) -> int:
         """Scalar routing decision (the migration path), candidate ids given."""
         if self.policy == "round-robin":
-            rt = self.router
-            assert isinstance(rt, RoundRobinRouter)
-            chosen = int(cands[rt._next % cands.size])
-            rt._next += 1
+            chosen = int(cands[self.rr_next % cands.size])
+            self.rr_next += 1
             return chosen
         if self.policy == "jsq":
             return int(cands[jsq_select(self.load[cands])])
@@ -908,9 +872,7 @@ class _TickFleet:
         profiler = self.profiler
         _pt = perf_counter() if profiler is not None else 0.0
         if self.policy == "round-robin":
-            rt = self.router
-            assert isinstance(rt, RoundRobinRouter)
-            chosen = rids[rr_positions(rt._next, k, rids.size)]
+            chosen = rids[rr_positions(self.rr_next, k, rids.size)]
         elif self.policy == "jsq":
             chosen = np.full(
                 k, int(rids[jsq_select(self.load[rids])]), dtype=np.int64
@@ -950,9 +912,7 @@ class _TickFleet:
                 self._start_step(rid, float(self.arr_t[cur + first]))
                 woke = True
         if self.policy == "round-robin":
-            rt = self.router
-            assert isinstance(rt, RoundRobinRouter)
-            rt._next += consumed
+            self.rr_next += consumed
         return cur + consumed, woke
 
     def _arrivals_p2c(self, cur: int, hi: int) -> tuple[int, bool]:
@@ -1205,8 +1165,6 @@ def simulate_fleet_tick(
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
     max_batch_requests: int = 64,
-    router: Router | None = None,
-    admission: AdmissionController | None = None,
     timer: PlacementStepTimer | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
@@ -1218,10 +1176,6 @@ def simulate_fleet_tick(
     """Tick-engine counterpart of
     :func:`~repro.fleet.reference.simulate_fleet_reference` — same
     signature, bit-identical :class:`~repro.fleet.result.FleetResult`.
-
-    Restrictions (both raise ``ValueError``): ``router`` and
-    ``admission`` must be the built-in classes — subclasses carry scalar
-    logic the array engine cannot honour; use ``engine="event"`` there.
     """
     reqs = sorted(requests, key=lambda q: (q.arrival_s, q.req_id))
     validate_fleet_inputs(
@@ -1229,22 +1183,6 @@ def simulate_fleet_tick(
     )
 
     rng = rng or np.random.default_rng(0)
-    router = router or make_router(
-        fleet.router, regimes=regimes, load_weight=fleet.affinity_load_weight
-    )
-    if type(router) not in (
-        RoundRobinRouter, JoinShortestQueueRouter, PowerOfTwoRouter, AffinityRouter,
-    ):
-        raise ValueError(
-            "the tick engine vectorizes the built-in router policies only; "
-            'run custom routers with engine="event"'
-        )
-    admission = admission or AdmissionController.from_config(fleet)
-    if type(admission) is not AdmissionController:
-        raise ValueError(
-            "the tick engine vectorizes AdmissionController only; "
-            'run custom admission controllers with engine="event"'
-        )
     timer = timer or PlacementStepTimer(model, cluster, mode=mode, dtype_bytes=dtype_bytes)
 
     empty_stats = LatencyStats.from_samples([])
@@ -1259,8 +1197,6 @@ def simulate_fleet_tick(
         placements_by_regime,
         fleet,
         max_batch_requests,
-        router,
-        admission,
         timer,
         replace_policy,
         replace_halflife_tokens,

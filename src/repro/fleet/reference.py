@@ -68,13 +68,12 @@ from repro.fleet.requests import (
 from repro.fleet.result import (
     FleetResult,
     finalize_fleet_result,
-    fleet_run_meta,
     sample_paths_grouped,
     validate_fleet_inputs,
 )
-from repro.fleet.router import Router, make_router
+from repro.fleet.router import make_router
 from repro.obs.profile import PhaseProfiler
-from repro.obs.recorder import MetricsRecorder
+from repro.obs.recorder import MetricsRecorder, run_meta
 from repro.trace.markov import MarkovRoutingModel
 
 __all__ = ["simulate_fleet_reference"]
@@ -100,8 +99,6 @@ def simulate_fleet_reference(
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
     max_batch_requests: int = 64,
-    router: Router | None = None,
-    admission: AdmissionController | None = None,
     timer: PlacementStepTimer | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
@@ -135,10 +132,10 @@ def simulate_fleet_reference(
     )
 
     rng = rng or np.random.default_rng(0)
-    router = router or make_router(
+    router = make_router(
         fleet.router, regimes=regimes, load_weight=fleet.affinity_load_weight
     )
-    admission = admission or AdmissionController.from_config(fleet)
+    admission = AdmissionController.from_config(fleet)
     timer = timer or PlacementStepTimer(model, cluster, mode=mode, dtype_bytes=dtype_bytes)
     top2 = model.gating.k == 2
     g = cluster.num_gpus
@@ -195,7 +192,7 @@ def simulate_fleet_reference(
 
     first_arrival = reqs[0].arrival_s
     if recorder is not None:
-        recorder.on_run_start(first_arrival, fleet_run_meta(cluster))
+        recorder.on_run_start(first_arrival, run_meta(cluster))
     for i in range(fleet.num_replicas):
         new_replica(i % len(regimes), ReplicaState.RUNNING, first_arrival)
 

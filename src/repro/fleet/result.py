@@ -15,13 +15,13 @@ written once and called by both:
   clamping to the last regime);
 * :func:`finalize_fleet_result` — the result epilogue (makespan, latency
   percentiles, per-class SLO attainment over offered traffic, GPU-hour
-  billing), identical accumulation order for both engines;
-* :func:`fleet_run_meta` — the run-start telemetry metadata (cost
-  constants).  Both engines call their recorder's hooks directly with the
-  same arguments at the same simulated times, so attaching the same
-  recorder to an oracle run and a tick run records identical timelines,
-  event for event.  Hooks are observation-only — they never draw rng
-  samples or perturb simulated floats.
+  billing), identical accumulation order for both engines.
+
+Both engines call their recorder's hooks directly with the same arguments
+at the same simulated times, so attaching the same recorder to an oracle
+run and a tick run records identical timelines, event for event.  Hooks
+are observation-only — they never draw rng samples or perturb simulated
+floats.
 """
 
 from __future__ import annotations
@@ -49,17 +49,10 @@ from repro.trace.markov import MarkovRoutingModel
 
 __all__ = [
     "FleetResult",
-    "fleet_run_meta",
     "sample_paths_grouped",
     "validate_fleet_inputs",
     "finalize_fleet_result",
 ]
-
-
-def fleet_run_meta(cluster: ClusterConfig) -> dict[str, float]:
-    """The ``on_run_start`` meta both fleet engines report: per-replica
-    GPU count and GPU-hour price, the cost constants a timeline bills by."""
-    return {"num_gpus": float(cluster.num_gpus), "gpu_hour_usd": float(cluster.gpu_hour_usd)}
 
 
 @dataclass(frozen=True)

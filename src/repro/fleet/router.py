@@ -53,10 +53,11 @@ __all__ = [
 
 # -- array selection kernels ---------------------------------------------------
 #
-# The scoring cores shared by the object-level ``choose_batch`` methods and
-# the tick engine's array state (which has no Replica objects to hand).
-# All operate on parallel arrays over one *candidate snapshot*: position i
-# describes candidate i, ``ids`` carries replica ids for tie-breaks.
+# The tick engine's routing: it keeps replica state as arrays, with no
+# Replica objects to hand to ``choose``.  Each kernel makes the decision
+# the matching router's ``choose`` makes, on parallel arrays over one
+# *candidate snapshot*: position i describes candidate i, ``ids`` carries
+# replica ids for tie-breaks.
 
 
 def jsq_select(loads: np.ndarray) -> int:
@@ -104,23 +105,6 @@ class Router:
     ) -> Replica:
         raise NotImplementedError
 
-    def choose_batch(
-        self,
-        requests: Sequence[FleetRequest],
-        replicas: Sequence[Replica],
-        rng: np.random.Generator,
-    ) -> list[Replica]:
-        """Route a whole arrival batch against one frozen replica snapshot.
-
-        Semantically ``[self.choose(q, replicas, rng) for q in requests]``:
-        router-internal state (the round-robin cursor, p2c's rng draws)
-        advances per request, but replica load and membership are read
-        once — the caller admits or sheds *between* batches, not within
-        one.  Subclasses override with vectorized scoring; this default
-        delegates so custom routers stay correct for free.
-        """
-        return [self.choose(q, replicas, rng) for q in requests]
-
     @staticmethod
     def _check(replicas: Sequence[Replica]) -> None:
         if not replicas:
@@ -147,18 +131,6 @@ class RoundRobinRouter(Router):
         self._next += 1
         return chosen
 
-    def choose_batch(
-        self,
-        requests: Sequence[FleetRequest],
-        replicas: Sequence[Replica],
-        rng: np.random.Generator,
-    ) -> list[Replica]:
-        self._check(replicas)
-        ordered = sorted(replicas, key=lambda r: r.replica_id)
-        pos = rr_positions(self._next, len(requests), len(ordered))
-        self._next += len(requests)
-        return [ordered[int(p)] for p in pos]
-
 
 class JoinShortestQueueRouter(Router):
     """Full-information least-loaded routing (ties to the lowest id)."""
@@ -173,18 +145,6 @@ class JoinShortestQueueRouter(Router):
     ) -> Replica:
         self._check(replicas)
         return min(replicas, key=lambda r: (r.load, r.replica_id))
-
-    def choose_batch(
-        self,
-        requests: Sequence[FleetRequest],
-        replicas: Sequence[Replica],
-        rng: np.random.Generator,
-    ) -> list[Replica]:
-        self._check(replicas)
-        ordered = sorted(replicas, key=lambda r: r.replica_id)
-        loads = np.array([r.load for r in ordered], dtype=np.int64)
-        chosen = ordered[jsq_select(loads)]
-        return [chosen] * len(requests)
 
 
 class PowerOfTwoRouter(Router):
@@ -204,19 +164,6 @@ class PowerOfTwoRouter(Router):
         i, j = rng.choice(len(replicas), size=2, replace=False)
         a, b = replicas[int(i)], replicas[int(j)]
         return min(a, b, key=lambda r: (r.load, r.replica_id))
-
-    def choose_batch(
-        self,
-        requests: Sequence[FleetRequest],
-        replicas: Sequence[Replica],
-        rng: np.random.Generator,
-    ) -> list[Replica]:
-        self._check(replicas)
-        # the two uniform draws index the candidate list as given (the
-        # scalar path's contract), so no id sort here
-        loads = np.array([r.load for r in replicas], dtype=np.int64)
-        ids = np.array([r.replica_id for r in replicas], dtype=np.int64)
-        return [replicas[p2c_select(loads, ids, rng)] for _ in requests]
 
 
 class AffinityRouter(Router):
@@ -275,32 +222,6 @@ class AffinityRouter(Router):
 
         # max score; ties broken toward the lighter replica, then id
         return max(replicas, key=lambda r: (score(r), -r.load, -r.replica_id))
-
-    def choose_batch(
-        self,
-        requests: Sequence[FleetRequest],
-        replicas: Sequence[Replica],
-        rng: np.random.Generator,
-    ) -> list[Replica]:
-        self._check(replicas)
-        loads = np.array([r.load for r in replicas], dtype=np.int64)
-        ids = np.array([r.replica_id for r in replicas], dtype=np.int64)
-        # the selection is frozen per regime across the snapshot, so score
-        # each regime present in the batch once, not each request
-        by_regime: dict[int, Replica] = {}
-        chosen: list[Replica] = []
-        for q in requests:
-            hit = by_regime.get(q.regime)
-            if hit is None:
-                kept = np.array(
-                    [self.kept_mass(r, q.regime) for r in replicas], dtype=np.float64
-                )
-                caps = np.array([r.max_batch for r in replicas], dtype=np.int64)
-                scores = kept - (self.load_weight * loads) / caps
-                hit = replicas[affinity_select(scores, loads, ids)]
-                by_regime[q.regime] = hit
-            chosen.append(hit)
-        return chosen
 
 
 def make_router(

@@ -1,26 +1,24 @@
-"""Fleet serving entry points: engine dispatch + config-driven scenario.
+"""The config-driven fleet entry point.
 
 The fleet simulation exists twice, by design:
 
+* :mod:`repro.fleet.engine` — the vectorized tick engine: array state,
+  windowed arrival batches.  Every fleet run executes on it.
 * :mod:`repro.fleet.reference` — the original event-heap loop, one event
   popped and processed at a time.  Slow, obvious, and the correctness
-  oracle (``engine="event"``).
-* :mod:`repro.fleet.engine` — the vectorized tick engine: array state,
-  windowed arrival batches, the same events in the same order
-  (``engine="tick"``).  Bit-identical results, built for million-request
-  days (``tests/test_fleet_equivalence.py`` enforces the former,
-  ``benchmarks/bench_fleet_scale.py`` measures the latter).
+  oracle: ``tests/test_fleet_equivalence.py`` holds the tick engine to its
+  exact result, and ``benchmarks/bench_fleet_scale.py`` times the two.
 
-:func:`_simulate_fleet_serving` dispatches on ``FleetConfig.engine``;
-:func:`_simulate_fleet_cluster_serving` is the config-driven entry point
-(what ``repro.run`` calls for ``fleet`` scenarios): it draws the regime
-models, solves one placement per regime, labels arrivals with regimes and
-priorities, and runs the selected engine.
+:func:`_fleet_engine_args` builds everything either engine takes from the
+configs: it draws the regime models, solves one placement per regime and
+labels arrivals with regimes and priorities.
+:func:`_simulate_fleet_cluster_serving` (what ``repro.run`` calls for
+``fleet`` scenarios) feeds those inputs to the tick engine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -32,16 +30,12 @@ from repro.config import (
     ServingConfig,
 )
 from repro.core.online import ReplacementPolicy
-from repro.core.placement.base import Placement
 from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.serving import PlacementStepTimer, Request, make_arrivals
-from repro.fleet.admission import AdmissionController
 from repro.fleet.engine import simulate_fleet_tick
-from repro.fleet.reference import simulate_fleet_reference
-from repro.fleet.requests import FleetRequest, make_fleet_requests
+from repro.fleet.requests import make_fleet_requests
 from repro.fleet.result import FleetResult
-from repro.fleet.router import Router
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder
 from repro.trace.markov import MarkovRoutingModel
@@ -49,65 +43,7 @@ from repro.trace.markov import MarkovRoutingModel
 __all__ = ["FleetResult"]
 
 
-def _simulate_fleet_serving(
-    requests: Iterable[FleetRequest],
-    model: ModelConfig,
-    cluster: ClusterConfig,
-    regimes: Sequence[MarkovRoutingModel],
-    placements_by_regime: Sequence[Placement],
-    fleet: FleetConfig,
-    mode: ExecutionMode = ExecutionMode.EXFLOW,
-    max_batch_requests: int = 64,
-    router: Router | None = None,
-    admission: AdmissionController | None = None,
-    timer: PlacementStepTimer | None = None,
-    replace_policy: ReplacementPolicy | None = None,
-    replace_halflife_tokens: float | None = None,
-    dtype_bytes: int = 2,
-    rng: np.random.Generator | None = None,
-    recorder: MetricsRecorder | None = None,
-    profiler: PhaseProfiler | None = None,
-) -> FleetResult:
-    """Serve ``requests`` on a fleet of replicas behind a router.
-
-    ``placements_by_regime[k]`` is the affinity-optimized placement fit to
-    ``regimes[k]``; initial replica ``i`` carries placement
-    ``i % num_regimes`` (a heterogeneous fleet when ``num_regimes > 1``),
-    and autoscaled replicas boot with the placement of the regime
-    dominating the queued traffic at decision time.
-    ``max_batch_requests`` is each replica's continuous-batching admission
-    cap (the serving layer's knob, threaded through by the cluster entry
-    point).  With ``fleet.replace`` on, each replica's re-placement loop
-    uses ``replace_policy`` and a streaming estimator with
-    ``replace_halflife_tokens`` (defaults when ``None``).
-
-    ``fleet.engine`` selects the execution strategy — ``"event"`` for the
-    heap oracle, ``"tick"`` for the vectorized engine; both return the
-    same :class:`~repro.fleet.result.FleetResult`, bit for bit.
-    """
-    run = simulate_fleet_tick if fleet.engine == "tick" else simulate_fleet_reference
-    return run(
-        requests,
-        model,
-        cluster,
-        regimes,
-        placements_by_regime,
-        fleet,
-        mode=mode,
-        max_batch_requests=max_batch_requests,
-        router=router,
-        admission=admission,
-        timer=timer,
-        replace_policy=replace_policy,
-        replace_halflife_tokens=replace_halflife_tokens,
-        dtype_bytes=dtype_bytes,
-        rng=rng,
-        recorder=recorder,
-        profiler=profiler,
-    )
-
-
-def _simulate_fleet_cluster_serving(
+def _fleet_engine_args(
     model: ModelConfig,
     cluster: ClusterConfig,
     serving: ServingConfig,
@@ -120,16 +56,14 @@ def _simulate_fleet_cluster_serving(
     regime_weight_at: Callable[[float], Sequence[float]] | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
-    recorder: MetricsRecorder | None = None,
-    profiler: PhaseProfiler | None = None,
-) -> FleetResult:
-    """End-to-end fleet scenario from ``ServingConfig`` + ``FleetConfig``.
+) -> dict[str, Any]:
+    """Keyword arguments for a fleet engine, built from the configs.
 
     Builds ``fleet.num_regimes`` independent Markov regimes of equal
     affinity strength, solves one placement per regime from an offline
-    profile, labels the arrival stream with regimes (time-varying mix via
-    ``regime_weight_at``) and priorities, and runs the engine
-    ``fleet.engine`` selects.
+    profile and labels the arrival stream with regimes (time-varying mix
+    via ``regime_weight_at``) and priorities.  Every call builds a fresh
+    rng and step timer, so two calls feed two engines identical inputs.
 
     Seed layout (all derived from ``serving.seed``, all disjoint —
     mirroring the single-replica online loop): arrivals use ``seed``,
@@ -178,20 +112,35 @@ def _simulate_fleet_cluster_serving(
         regime_weight_at=regime_weight_at,
     )
 
-    timer = PlacementStepTimer(model, cluster, mode=mode)
-    return _simulate_fleet_serving(
-        labelled,
-        model,
-        cluster,
-        regimes,
-        placements,
-        fleet,
-        mode=mode,
-        max_batch_requests=serving.max_batch_requests,
-        timer=timer,
-        replace_policy=replace_policy,
-        replace_halflife_tokens=replace_halflife_tokens,
-        rng=np.random.default_rng(serving.seed + 9),
-        recorder=recorder,
-        profiler=profiler,
-    )
+    return {
+        "requests": labelled,
+        "model": model,
+        "cluster": cluster,
+        "regimes": regimes,
+        "placements_by_regime": placements,
+        "fleet": fleet,
+        "mode": mode,
+        "max_batch_requests": serving.max_batch_requests,
+        "timer": PlacementStepTimer(model, cluster, mode=mode),
+        "replace_policy": replace_policy,
+        "replace_halflife_tokens": replace_halflife_tokens,
+        "rng": np.random.default_rng(serving.seed + 9),
+    }
+
+
+def _simulate_fleet_cluster_serving(
+    model: ModelConfig,
+    cluster: ClusterConfig,
+    serving: ServingConfig,
+    fleet: FleetConfig,
+    recorder: MetricsRecorder | None = None,
+    profiler: PhaseProfiler | None = None,
+    **inputs: Any,
+) -> FleetResult:
+    """End-to-end fleet scenario from ``ServingConfig`` + ``FleetConfig``.
+
+    Runs the tick engine on what :func:`_fleet_engine_args` builds from
+    the configs and ``inputs`` (its keyword options).
+    """
+    args = _fleet_engine_args(model, cluster, serving, fleet, **inputs)
+    return simulate_fleet_tick(**args, recorder=recorder, profiler=profiler)

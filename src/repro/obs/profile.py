@@ -6,8 +6,8 @@ measuring the simulator's own wall time can never feed back into
 simulated results).  Both fleet engines accept an optional profiler and
 bracket their hot phases with it:
 
-* ``routing`` — router ``choose``/``choose_batch`` calls,
-* ``admission`` — SLO admission ``assess``/``assess_batch`` calls,
+* ``routing`` — router ``choose`` calls (the tick engine's array kernels),
+* ``admission`` — SLO admission ``assess`` calls (``assess_codes``),
 * ``pricing`` — ``PlacementStepTimer`` step/admission pricing plus the
   per-step expert-path sampling that feeds it,
 * ``bookkeeping`` — everything else (the remainder of the run loop).

@@ -35,14 +35,29 @@ attached skip hook dispatch entirely.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-__all__ = ["MetricsRecorder", "NullRecorder", "TeeRecorder", "TimelineRecorder"]
+if TYPE_CHECKING:
+    from repro.config import ClusterConfig
+
+__all__ = [
+    "MetricsRecorder",
+    "NullRecorder",
+    "TeeRecorder",
+    "TimelineRecorder",
+    "run_meta",
+]
 
 #: Initial auto window width (seconds).  Tiny on purpose: the recorder
 #: doubles it as the simulated horizon grows, so the final width is
 #: always within 2x of ``horizon / max_windows`` regardless of scale.
 _AUTO_WINDOW0_S = 2.0**-20
+
+
+def run_meta(cluster: ClusterConfig) -> dict[str, float]:
+    """The ``on_run_start`` meta every serving loop reports: per-replica
+    GPU count and GPU-hour price, the cost constants a timeline bills by."""
+    return {"num_gpus": float(cluster.num_gpus), "gpu_hour_usd": float(cluster.gpu_hour_usd)}
 
 
 class MetricsRecorder:

@@ -446,7 +446,7 @@ register_scenario(fleet_bad_day(autoscale=True, smoke=True))
 
 
 def _fleet_scale_day(smoke: bool) -> Scenario:
-    """A compressed day-in-the-life of a large fleet, on the tick engine.
+    """A compressed day-in-the-life of a large fleet.
 
     One million requests over 128 replicas with a diurnal two-regime mix,
     SLO admission under sustained pressure (~20% of peak traffic shed) and
@@ -469,7 +469,6 @@ def _fleet_scale_day(smoke: bool) -> Scenario:
         num_replicas=8 if smoke else 128,
         router="jsq",
         num_regimes=2,
-        engine="tick",
         slo_ms=50.0,
         batch_slo_ms=500.0,
         max_queue_per_replica=32,

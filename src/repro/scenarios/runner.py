@@ -41,7 +41,7 @@ from repro.fleet.requests import flash_crowd_arrivals
 from repro.fleet.simulate import _simulate_fleet_cluster_serving
 from repro.obs.detect import SignalDetector, score_against_chaos
 from repro.obs.profile import PhaseProfiler
-from repro.obs.recorder import MetricsRecorder, TeeRecorder, TimelineRecorder
+from repro.obs.recorder import MetricsRecorder, TeeRecorder, TimelineRecorder, run_meta
 from repro.obs.slo import compliance_summary, evaluate_burn_alerts
 from repro.scenarios.report import SimReport
 from repro.scenarios.spec import Scenario
@@ -232,6 +232,7 @@ def _run_single_replica(
         max_batch_requests=s.serving.max_batch_requests,
         num_gpus=s.cluster.num_gpus,
         recorder=recorder,
+        meta=run_meta(s.cluster),
     )
     raw: object = res
     account: dict[str, Any] = {}

@@ -10,8 +10,6 @@ engine-equivalence contract are the invariants.
 
 from __future__ import annotations
 
-import dataclasses
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +21,9 @@ from repro.chaos import (
     RetryPolicy,
 )
 from repro.config import ClusterConfig, FleetConfig, ModelConfig, ServingConfig
-from repro.fleet.simulate import _simulate_fleet_cluster_serving
+from repro.fleet.engine import simulate_fleet_tick
+from repro.fleet.reference import simulate_fleet_reference
+from repro.fleet.simulate import _fleet_engine_args
 
 MODEL = ModelConfig(
     name="chaos-prop-test", num_layers=4, num_experts=8, d_model=64, num_heads=4
@@ -116,12 +116,8 @@ def test_requests_conserved_and_engines_agree(chaos: ChaosSpec, migrate: bool):
         migrate_on_drain=migrate,
         chaos=chaos,
     )
-    event = _simulate_fleet_cluster_serving(
-        MODEL, CLUSTER, SERVING, dataclasses.replace(fleet, engine="event")
-    )
-    tick = _simulate_fleet_cluster_serving(
-        MODEL, CLUSTER, SERVING, dataclasses.replace(fleet, engine="tick")
-    )
+    event = simulate_fleet_reference(**_fleet_engine_args(MODEL, CLUSTER, SERVING, fleet))
+    tick = simulate_fleet_tick(**_fleet_engine_args(MODEL, CLUSTER, SERVING, fleet))
     for result in (event, tick):
         ids = _terminal_ids(result)
         # one terminal outcome per submitted request: nothing lost twice,

@@ -79,6 +79,32 @@ class TestRunCommand:
         assert main(["run", str(broken)]) == 2
         assert "cannot load scenario" in capsys.readouterr().err
 
+    def test_batch_summary_omits_latency(self, capsys):
+        # a batch comparison has no per-request latency to summarise
+        assert main(["run", "fig10-end-to-end-smoke"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("summary: ")
+        assert "p95" not in summary
+        assert "tokens/s" in summary
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda d: d["fleet"].update(slo_ms=float("nan")), "slo_ms must be finite"),
+            (lambda d: d["serving"].update(arrival_rate_rps=float("inf")), "finite"),
+            (lambda d: d["fleet"].update(engine="event"), "unknown FleetConfig field"),
+        ],
+    )
+    def test_invalid_fleet_spec_fails_cleanly(self, tmp_path, capsys, edit, message):
+        doc = get_scenario("fleet-steady-day-smoke").to_dict()
+        edit(doc)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load scenario" in err
+        assert message in err
+
     def test_unwritable_out_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "no-such-dir" / "rep.json"
         assert main(["run", "serve-poisson-smoke", "--out", str(bad)]) == 2
@@ -403,6 +429,11 @@ class TestFleet:
     def test_rejects_unknown_router(self):
         with pytest.raises(SystemExit):
             main([*self._BASE, "--router", "alphabetical"])
+
+    def test_has_no_engine_flag(self):
+        # every fleet run executes on the tick engine; nothing selects one
+        with pytest.raises(SystemExit):
+            main([*self._BASE, "--engine", "tick"])
 
     def test_conflicting_replica_bounds_error(self):
         # with autoscaling on, --replicas 2 above --max-replicas 1 must

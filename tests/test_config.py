@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 
 import pytest
 
@@ -9,10 +10,12 @@ from repro.config import (
     PAPER_MODELS,
     ClusterConfig,
     ExecutionMode,
+    FleetConfig,
     GatingKind,
     InferenceConfig,
     LinkSpec,
     ModelConfig,
+    ServingConfig,
     geometric_mean,
     paper_model,
     scaled_proxy,
@@ -166,6 +169,38 @@ class TestInferenceConfig:
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValueError):
             InferenceConfig(**{field: 0})
+
+
+_FLOAT_FIELDS = {
+    ServingConfig: (
+        "arrival_rate_rps", "burst_factor", "burst_fraction", "burst_persistence",
+    ),
+    FleetConfig: (
+        "slo_ms", "batch_slo_ms", "interactive_fraction", "shed_slack",
+        "scale_up_queue_per_replica", "scale_down_queue_per_replica",
+        "autoscale_check_every_s", "boot_overhead_s", "affinity_load_weight",
+    ),
+}
+
+
+class TestNonFiniteFloats:
+    """NaN slips past every range check (its comparisons are all false),
+    so each float field of the serving and fleet configs rejects it — and
+    ±inf — up front."""
+
+    @pytest.mark.parametrize("cls", list(_FLOAT_FIELDS))
+    def test_field_list_is_complete(self, cls):
+        floats = {f.name for f in dataclasses.fields(cls) if f.type == "float"}
+        assert floats == set(_FLOAT_FIELDS[cls])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        ("cls", "field"),
+        [(cls, name) for cls, names in _FLOAT_FIELDS.items() for name in names],
+    )
+    def test_rejects_non_finite(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cls(**{field: value})
 
 
 class TestPaperPresets:

@@ -153,15 +153,18 @@ class TestEquivalence:
 
 
 class TestCompareModesEngines:
-    def test_engine_switch_identical(self, small_model, small_cluster, small_infer):
-        from repro.engine.comparison import compare_modes
+    def test_engine_switch_identical(
+        self, small_model, small_cluster, small_infer, monkeypatch
+    ):
+        # compare_modes runs the vectorized engine; swap the oracle in at
+        # its one call site and every row must come out the same
+        from repro.engine import comparison
 
-        fast = compare_modes(
-            small_model, small_cluster, small_infer, seed=11, engine="vectorized"
+        fast = comparison.compare_modes(small_model, small_cluster, small_infer, seed=11)
+        monkeypatch.setattr(
+            comparison, "simulate_inference", simulate_inference_reference
         )
-        slow = compare_modes(
-            small_model, small_cluster, small_infer, seed=11, engine="reference"
-        )
+        slow = comparison.compare_modes(small_model, small_cluster, small_infer, seed=11)
         for label in fast:
             assert_bit_identical(fast[label].result, slow[label].result)
             assert fast[label].speedup == slow[label].speedup
@@ -169,8 +172,9 @@ class TestCompareModesEngines:
     def test_unknown_engine_rejected(self, small_model, small_cluster, small_infer):
         from repro.engine.comparison import compare_modes
 
-        with pytest.raises(ValueError, match="engine"):
-            compare_modes(small_model, small_cluster, small_infer, engine="warp")
+        # no argument selects an engine any more
+        with pytest.raises(TypeError, match="engine"):
+            compare_modes(small_model, small_cluster, small_infer, engine="reference")
 
 
 class TestValidation:

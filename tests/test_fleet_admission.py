@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config import FleetConfig
 from repro.core.placement.vanilla import vanilla_placement
 from repro.fleet.admission import (
+    SHED_REASONS,
     AdmissionController,
     PriorityClass,
     default_priority_classes,
@@ -132,8 +134,23 @@ class TestShedding:
         assert ctrl.class_of(_req(priority=7)).name == "batch"
 
 
+def _assess_codes(ctrl, requests, replicas):
+    """``assess_codes`` on request ``i`` against its routed replica ``i``,
+    as shed-reason strings (``None`` admits)."""
+    gen = np.array([q.generate_len for q in requests], dtype=np.int64)
+    pri = np.array([q.priority for q in requests], dtype=np.int64)
+    qlen = np.array([r.queue_len for r in replicas], dtype=np.int64)
+    ests = np.array(
+        [np.nan if r.est_step_s is None else r.est_step_s for r in replicas],
+        dtype=np.float64,
+    )
+    caps = np.array([r.max_batch for r in replicas], dtype=np.int64)
+    codes = ctrl.assess_codes(gen, ctrl.slo_by_priority(pri), qlen, ests, caps)
+    return [SHED_REASONS[int(c)] for c in codes]
+
+
 class TestBatchAssessment:
-    """The vectorized admission path must mirror scalar ``assess`` exactly."""
+    """The vectorized ``assess_codes`` must mirror scalar ``assess`` exactly."""
 
     def _loaded_replicas(self):
         cold = _replica()  # est None -> admit unless queue-full
@@ -151,7 +168,7 @@ class TestBatchAssessment:
         pairs = [(q, r) for q in requests for r in replicas]
         qs = [q for q, _ in pairs]
         rs = [r for _, r in pairs]
-        batch = ctrl.assess_batch(qs, rs)
+        batch = _assess_codes(ctrl, qs, rs)
         scalar = [ctrl.assess(q, r, 0.0) for q, r in pairs]
         assert batch == scalar
         assert set(batch) == {None, "deadline", "queue-full"}
@@ -162,8 +179,5 @@ class TestBatchAssessment:
         r.est_step_s = 10.0  # would shed on deadline too
         for _ in range(4):
             r.enqueue(_req())
-        assert ctrl.assess_batch([_req()], [r]) == ["queue-full"]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="one routed replica per request"):
-            _controller().assess_batch([_req()], [])
+        assert _assess_codes(ctrl, [_req()], [r]) == ["queue-full"]
+        assert ctrl.assess(_req(), r, 0.0) == "queue-full"

@@ -3,7 +3,10 @@
 The vectorized tick engine (:mod:`repro.fleet.engine`) exists for speed;
 its *correctness* is defined entirely by
 :func:`repro.fleet.reference.simulate_fleet_reference`.  Every scenario
-here runs both engines on identical inputs and demands the full
+here runs both engines on identical inputs — built by the one
+``_fleet_engine_args`` both are fed from, or, for ``run()``-level
+monitoring, by swapping the oracle into the fleet entry point's single
+engine call — and demands the full
 :class:`~repro.fleet.result.FleetResult` match **exactly** — completed
 and shed tuples (order included), latency/queue percentile stats, replica
 accounts, scale events, SLO attainment, GPU-hour billing.  No tolerances:
@@ -13,7 +16,9 @@ any drift is a bug, not noise.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -33,8 +38,11 @@ from repro.chaos import (
     RetryPolicy,
     bad_day_schedule,
 )
+from repro.fleet import simulate as fleet_simulate
+from repro.fleet.engine import simulate_fleet_tick
+from repro.fleet.reference import simulate_fleet_reference
 from repro.fleet.requests import flash_crowd_arrivals
-from repro.fleet.simulate import _simulate_fleet_cluster_serving
+from repro.fleet.simulate import _fleet_engine_args
 
 MODEL = ModelConfig(
     name="fleet-eq-test", num_layers=4, num_experts=8, d_model=64, num_heads=4
@@ -53,14 +61,23 @@ SERVING = ServingConfig(
 ROUTERS = ("round-robin", "jsq", "p2c", "affinity")
 
 
+def run_engine(engine, fleet, model=MODEL, serving=SERVING, recorder=None,
+               profiler=None, **kwargs):
+    args = _fleet_engine_args(model, CLUSTER, serving, fleet, **kwargs)
+    return engine(**args, recorder=recorder, profiler=profiler)
+
+
 def run_both(fleet, model=MODEL, serving=SERVING, **kwargs):
-    event = _simulate_fleet_cluster_serving(
-        model, CLUSTER, serving, dataclasses.replace(fleet, engine="event"), **kwargs
-    )
-    tick = _simulate_fleet_cluster_serving(
-        model, CLUSTER, serving, dataclasses.replace(fleet, engine="tick"), **kwargs
-    )
+    event = run_engine(simulate_fleet_reference, fleet, model, serving, **kwargs)
+    tick = run_engine(simulate_fleet_tick, fleet, model, serving, **kwargs)
     return event, tick
+
+
+@contextlib.contextmanager
+def fleet_engine(engine):
+    """Run ``run()``'s fleet scenarios on ``engine`` inside the block."""
+    with mock.patch.object(fleet_simulate, "simulate_fleet_tick", engine):
+        yield
 
 
 def assert_identical(event, tick):
@@ -255,19 +272,11 @@ class TestTelemetryEquivalence:
 
         rec_event = TimelineRecorder()
         rec_tick = TimelineRecorder()
-        event = _simulate_fleet_cluster_serving(
-            MODEL,
-            CLUSTER,
-            self.BUSY,
-            dataclasses.replace(self.FLEET, engine="event"),
-            recorder=rec_event,
+        event = run_engine(
+            simulate_fleet_reference, self.FLEET, serving=self.BUSY, recorder=rec_event
         )
-        tick = _simulate_fleet_cluster_serving(
-            MODEL,
-            CLUSTER,
-            self.BUSY,
-            dataclasses.replace(self.FLEET, engine="tick"),
-            recorder=rec_tick,
+        tick = run_engine(
+            simulate_fleet_tick, self.FLEET, serving=self.BUSY, recorder=rec_tick
         )
         return event, tick, rec_event, rec_tick
 
@@ -314,14 +323,8 @@ def test_profiler_does_not_perturb_results():
     bare_event, bare_tick = run_both(fleet)
     prof_event = PhaseProfiler()
     prof_tick = PhaseProfiler()
-    event = _simulate_fleet_cluster_serving(
-        MODEL, CLUSTER, SERVING, dataclasses.replace(fleet, engine="event"),
-        profiler=prof_event,
-    )
-    tick = _simulate_fleet_cluster_serving(
-        MODEL, CLUSTER, SERVING, dataclasses.replace(fleet, engine="tick"),
-        profiler=prof_tick,
-    )
+    event = run_engine(simulate_fleet_reference, fleet, profiler=prof_event)
+    tick = run_engine(simulate_fleet_tick, fleet, profiler=prof_tick)
     assert_identical(bare_event, event)
     assert_identical(bare_tick, tick)
     for prof in (prof_event, prof_tick):
@@ -515,20 +518,8 @@ class TestChaosTelemetryEquivalence:
 
         rec_event = TimelineRecorder()
         rec_tick = TimelineRecorder()
-        event = _simulate_fleet_cluster_serving(
-            MODEL,
-            CLUSTER,
-            SERVING,
-            dataclasses.replace(self.FLEET, engine="event"),
-            recorder=rec_event,
-        )
-        tick = _simulate_fleet_cluster_serving(
-            MODEL,
-            CLUSTER,
-            SERVING,
-            dataclasses.replace(self.FLEET, engine="tick"),
-            recorder=rec_tick,
-        )
+        event = run_engine(simulate_fleet_reference, self.FLEET, recorder=rec_event)
+        tick = run_engine(simulate_fleet_tick, self.FLEET, recorder=rec_tick)
         return event, tick, rec_event, rec_tick
 
     def test_results_identical_with_recorder_attached(self):
@@ -581,23 +572,20 @@ class TestSloMonitoringEquivalence:
     single shared report field may change versus an unmonitored run.
     """
 
-    def scenario(self, engine, monitored=True):
+    def report(self, engine, monitored=True):
         from repro.obs.slo import SloSpec
-        from repro.scenarios import TelemetrySpec, get_scenario
+        from repro.scenarios import TelemetrySpec, get_scenario, run
 
-        s = get_scenario("fleet-bad-day-smoke")
-        assert s.fleet is not None
-        return dataclasses.replace(
-            s,
-            fleet=dataclasses.replace(s.fleet, engine=engine),
+        s = dataclasses.replace(
+            get_scenario("fleet-bad-day-smoke"),
             telemetry=TelemetrySpec(slo=SloSpec()) if monitored else None,
         )
+        with fleet_engine(engine):
+            return run(s)
 
     def test_alert_logs_identical_across_engines(self):
-        from repro.scenarios import run
-
-        ev = run(self.scenario("event"))
-        tk = run(self.scenario("tick"))
+        ev = self.report(simulate_fleet_reference)
+        tk = self.report(simulate_fleet_tick)
         assert ev.alerts == tk.alerts
         assert ev.detection == tk.detection
         assert ev.slo == tk.slo
@@ -609,9 +597,8 @@ class TestSloMonitoringEquivalence:
 
     def test_alert_spans_well_formed(self):
         from repro.obs.slo import AlertSpan
-        from repro.scenarios import run
 
-        report = run(self.scenario("event"))
+        report = self.report(simulate_fleet_reference)
         spans = [AlertSpan(**a) for a in report.alerts]
         by_kind: dict[str, list[AlertSpan]] = {}
         for span in spans:
@@ -623,11 +610,9 @@ class TestSloMonitoringEquivalence:
                 assert prev.close_s <= cur.open_s, "alert spans overlap within a kind"
 
     def test_monitoring_is_observation_only(self):
-        from repro.scenarios import run
-
-        for engine in ("event", "tick"):
-            mon = run(self.scenario(engine))
-            bare = run(self.scenario(engine, monitored=False))
+        for engine in (simulate_fleet_reference, simulate_fleet_tick):
+            mon = self.report(engine)
+            bare = self.report(engine, monitored=False)
             drift = [
                 f.name
                 for f in dataclasses.fields(mon)
@@ -638,33 +623,11 @@ class TestSloMonitoringEquivalence:
 
 
 def test_tick_rejects_custom_components():
-    from repro.core.placement.vanilla import vanilla_placement
-    from repro.fleet.admission import AdmissionController
-    from repro.fleet.engine import simulate_fleet_tick
-    from repro.fleet.router import Router
-    from repro.trace.markov import MarkovRoutingModel
-
-    regimes = [MarkovRoutingModel.with_affinity(8, 4, 0.8)]
-    flat = vanilla_placement(4, 8, 4)
-    fleet = FleetConfig(num_regimes=1, engine="tick")
-
-    class MyRouter(Router):
-        pass
-
-    class MyAdmission(AdmissionController):
-        pass
-
-    with pytest.raises(ValueError, match="custom routers"):
-        simulate_fleet_tick(
-            [], MODEL, CLUSTER, regimes, [flat], fleet, router=MyRouter()
-        )
-    with pytest.raises(ValueError, match="custom admission"):
-        simulate_fleet_tick(
-            [],
-            MODEL,
-            CLUSTER,
-            regimes,
-            [flat],
-            fleet,
-            admission=MyAdmission.from_config(fleet),
-        )
+    # both engines build the router and admission controller from the
+    # FleetConfig; neither takes a custom one
+    for engine in (simulate_fleet_reference, simulate_fleet_tick):
+        args = _fleet_engine_args(MODEL, CLUSTER, SERVING, FleetConfig(num_regimes=1))
+        with pytest.raises(TypeError, match="router"):
+            engine(**args, router=object())
+        with pytest.raises(TypeError, match="admission"):
+            engine(**args, admission=object())

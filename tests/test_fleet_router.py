@@ -19,7 +19,11 @@ from repro.fleet.router import (
     JoinShortestQueueRouter,
     PowerOfTwoRouter,
     RoundRobinRouter,
+    affinity_select,
+    jsq_select,
     make_router,
+    p2c_select,
+    rr_positions,
 )
 from repro.trace.markov import MarkovRoutingModel
 
@@ -203,9 +207,10 @@ def _affinity_fixtures():
 
 
 class TestChooseBatchMatchesScalar:
-    """Property: ``choose_batch`` == per-request ``choose`` on a frozen
-    snapshot, for every router kind — the contract the tick engine's
-    vectorized routing kernels are built on."""
+    """Property: routing a batch with each array kernel the tick engine
+    uses picks what the matching router's scalar ``choose`` picks, request
+    by request, on one frozen replica snapshot — the contract the tick
+    engine's vectorized routing is built on."""
 
     @given(
         kind=st.sampled_from(["round-robin", "jsq", "p2c", "affinity"]),
@@ -217,42 +222,50 @@ class TestChooseBatchMatchesScalar:
     def test_batch_equals_scalar(self, kind, num_replicas, num_requests, seed):
         regimes, fitted = _affinity_fixtures()
         rng = np.random.default_rng(seed)
-
-        def build_fleet():
-            reps = []
-            for rid in range(num_replicas):
-                r = _replica(rid, rid % 2, fitted[rid % 2])
-                for i in range(int(rng.integers(0, 6))):
-                    r.enqueue(_req(100 * rid + i))
-                if rng.integers(0, 2):
-                    r.admit_up_to_capacity(0.0)  # split load across queue/batch
-                reps.append(r)
-            return reps
-
-        reps = build_fleet()
+        reps = []
+        for rid in range(num_replicas):
+            r = _replica(rid, rid % 2, fitted[rid % 2])
+            for i in range(int(rng.integers(0, 6))):
+                r.enqueue(_req(100 * rid + i))
+            if rng.integers(0, 2):
+                r.admit_up_to_capacity(0.0)  # split load across queue/batch
+            reps.append(r)
         requests = [
             _req(i, regime=int(rng.integers(0, len(regimes))))
             for i in range(num_requests)
         ]
 
-        def build_router():
-            router = (
-                AffinityRouter(regimes) if kind == "affinity" else make_router(kind)
-            )
-            if isinstance(router, RoundRobinRouter):
-                router._next = int(rng.integers(0, 7))  # same mid-cycle start
-            return router
-
-        rng_state = rng.bit_generator.state
-        scalar_router = build_router()
-        rng.bit_generator.state = rng_state
-        batch_router = build_router()
-
+        router = AffinityRouter(regimes) if kind == "affinity" else make_router(kind)
+        start = 0
+        if isinstance(router, RoundRobinRouter):
+            start = router._next = int(rng.integers(0, 7))  # mid-cycle start
         scalar_rng = np.random.default_rng(seed + 1)
-        batch_rng = np.random.default_rng(seed + 1)
-        scalar = [scalar_router.choose(q, reps, scalar_rng) for q in requests]
-        batch = batch_router.choose_batch(requests, reps, batch_rng)
-        assert [r.replica_id for r in batch] == [r.replica_id for r in scalar]
+        scalar = [router.choose(q, reps, scalar_rng).replica_id for q in requests]
+
+        # the snapshot as the tick engine holds it: id-ordered columns
+        ids = np.array([r.replica_id for r in reps], dtype=np.int64)
+        loads = np.array([r.load for r in reps], dtype=np.int64)
+        kernel_rng = np.random.default_rng(seed + 1)
+        if kind == "round-robin":
+            picks = list(rr_positions(start, num_requests, ids.size))
+        elif kind == "jsq":
+            picks = [jsq_select(loads)] * num_requests
+        elif kind == "p2c":
+            picks = [p2c_select(loads, ids, kernel_rng) for _ in requests]
+        else:
+            assert isinstance(router, AffinityRouter)
+            caps = np.array([r.max_batch for r in reps], dtype=np.int64)
+
+            def affinity_pick(regime: int) -> int:
+                kept = np.array(
+                    [model_kept_mass(r.placement, regimes[regime]) for r in reps],
+                    dtype=np.float64,
+                )
+                scores = kept - (router.load_weight * loads) / caps
+                return affinity_select(scores, loads, ids)
+
+            picks = [affinity_pick(q.regime) for q in requests]
+        assert [int(ids[p]) for p in picks] == scalar
 
 
 class TestMakeRouter:

@@ -13,7 +13,9 @@ from repro.fleet.requests import (
     flash_crowd_arrivals,
     make_fleet_requests,
 )
-from repro.fleet.simulate import _simulate_fleet_cluster_serving, _simulate_fleet_serving
+from repro.fleet.engine import simulate_fleet_tick
+from repro.fleet.reference import simulate_fleet_reference
+from repro.fleet.simulate import _simulate_fleet_cluster_serving
 from repro.trace.markov import MarkovRoutingModel
 
 
@@ -153,7 +155,7 @@ class TestFleetServing:
         regimes = [MarkovRoutingModel.with_affinity(8, 4, 0.8)]
         from repro.core.placement.vanilla import vanilla_placement
 
-        res = _simulate_fleet_serving(
+        res = simulate_fleet_tick(
             [],
             model,
             cluster,
@@ -170,25 +172,27 @@ class TestFleetServing:
         regimes = [MarkovRoutingModel.with_affinity(8, 4, 0.8)]
         flat = vanilla_placement(4, 8, 4)
         with pytest.raises(ValueError, match="num_regimes"):
-            _simulate_fleet_serving(
+            simulate_fleet_tick(
                 [], model, cluster, regimes, [flat], FleetConfig(num_regimes=2)
             )
         with pytest.raises(ValueError, match="placement"):
-            _simulate_fleet_serving(
+            simulate_fleet_tick(
                 [], model, cluster, regimes, [], FleetConfig(num_regimes=1)
             )
         with pytest.raises(ValueError, match="max_batch"):
-            _simulate_fleet_serving(
+            simulate_fleet_tick(
                 [], model, cluster, regimes, [flat],
                 FleetConfig(num_regimes=1), max_batch_requests=0,
             )
         with pytest.raises(ValueError, match="shape"):
             bad = [MarkovRoutingModel.with_affinity(4, 4, 0.8)]
-            _simulate_fleet_serving(
+            simulate_fleet_tick(
                 [], model, cluster, bad, [flat], FleetConfig(num_regimes=1)
             )
 
-    @pytest.mark.parametrize("engine", ["event", "tick"])
+    @pytest.mark.parametrize(
+        "engine", [simulate_fleet_reference, simulate_fleet_tick], ids=["event", "tick"]
+    )
     def test_out_of_range_regime_rejected_at_entry(self, model, cluster, engine):
         """Regression: a request labelled with an unmodelled regime used to
         be silently clamped onto the last regime (reshaping traffic and
@@ -199,10 +203,7 @@ class TestFleetServing:
         flat = vanilla_placement(4, 8, 4)
         bad = [FleetRequest(0, 0.0, 8, 4, regime=3)]
         with pytest.raises(ValueError, match="regime 3.*only regimes 0..0"):
-            _simulate_fleet_serving(
-                bad, model, cluster, regimes, [flat],
-                FleetConfig(num_regimes=1, engine=engine),
-            )
+            engine(bad, model, cluster, regimes, [flat], FleetConfig(num_regimes=1))
 
     def test_every_router_serves_everything_when_unloaded(
         self, model, cluster, serving

@@ -468,6 +468,17 @@ class TestRunFacadeTelemetry:
         assert report.timeline["totals"]["completed"] == report.completed
         assert sum(report.latency_hist.values()) == report.completed
 
+    @pytest.mark.parametrize("name", ["serve-poisson-smoke", "fig15-abrupt-smoke"])
+    def test_single_replica_timeline_bills_the_report_cost(self, name):
+        # the loop reports the cluster's cost constants at run start, so
+        # the timeline's cumulative cost ends at the report's bill
+        rec = TimelineRecorder()
+        report = run(name, recorder=rec)
+        costs = rec.timeline()["windows"]["cost_usd"]
+        assert report.cost_usd > 0.0
+        assert costs == sorted(costs)
+        assert costs[-1] == pytest.approx(report.cost_usd, rel=1e-12)
+
     def test_profiler_rejected_without_fleet(self):
         with pytest.raises(ValueError, match="fleet"):
             run(_serving_scenario(), profiler=PhaseProfiler())
